@@ -7,9 +7,12 @@ GO ?= go
 all: build vet test
 
 # What CI runs (.github/workflows/ci.yml): the tier-1 gate plus a
-# race-detector pass over the short suite and the lint job.
+# race-detector pass over the short suite, the lint job, and vet plus
+# tests of the perfbench module, which compiles against the harness,
+# pipeline, sample and trace APIs.
 ci: build lint test
 	$(GO) test -race -short ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -50,9 +53,10 @@ bench:
 # BENCH_interning.json and BENCH_broadcast.json for how to take real
 # numbers). The steady-state allocation contracts run here too — the
 # trace store's intern/release round, the chunked replay loop, and the
-# chunk-buffer pool — plus the broadcast sweep's correctness gates:
-# decode-once counting, full-Result equivalence against per-cell
-# replay, and stream-cache accounting untouched by decoded chunks.
+# chunk-buffer pool — plus the group driver's correctness gates:
+# decode-once counting, full-Result equivalence of every group member
+# against the same cell run as a group of one, and stream-cache
+# accounting untouched by decoded chunks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/

@@ -13,9 +13,7 @@ import (
 // stream ends (clean halt, exhausted recording, or error). After
 // ok=false, Err reports the first error other than a clean halt.
 //
-// The live Emulator implements Source, as does Replayer; the timing
-// model consumes either interchangeably, which is what lets one
-// functional execution drive arbitrarily many simulator configurations.
+// The live Emulator implements Source, as does Replayer.
 type Source interface {
 	Next() (Dyn, bool)
 	Err() error

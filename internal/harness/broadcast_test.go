@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// broadcastMatrix is the shape of the issue's bit-identity check: the
+// broadcastMatrix is the shape of the group bit-identity check: the
 // three cross-design frontend compositions — split, split+precon,
 // adaptive — plus two Figure 5 storage points, all sharing one recorded
 // gcc stream.
@@ -27,49 +27,68 @@ func broadcastMatrix() Matrix {
 	}
 }
 
-// runBothModes executes the matrix with broadcast on and off and
-// returns both grids.
-func runBothModes(t *testing.T, m Matrix) (on, off *Grid) {
+// groupsOfOne runs every cell of the matrix again as a sweep of its
+// own — a group of one — and returns the cells in grid order.
+func groupsOfOne(t *testing.T, m Matrix, opts ...Option) []Cell {
 	t.Helper()
-	ctx := context.Background()
-	defer SetBroadcast(SetBroadcast(true))
-	var err error
-	if on, err = Run(ctx, m); err != nil {
-		t.Fatal(err)
+	var cells []Cell
+	for _, b := range m.Benches {
+		for _, s := range m.seeds() {
+			for _, p := range m.Points {
+				one := m
+				one.Benches, one.Seeds, one.Points = []string{b}, []int64{s}, []ConfigPoint{p}
+				g, err := Run(context.Background(), one, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells = append(cells, g.Cells[0])
+			}
+		}
 	}
-	SetBroadcast(false)
-	if off, err = Run(ctx, m); err != nil {
-		t.Fatal(err)
-	}
-	return on, off
+	return cells
 }
 
-// TestBroadcastEquivalence asserts the decode-once broadcast path is
-// measurement-invisible: every cell's full Result — counters, cycles,
-// nested component stats — matches the per-cell replay path exactly.
-func TestBroadcastEquivalence(t *testing.T) {
-	on, off := runBothModes(t, broadcastMatrix())
-	for i := range off.Cells {
-		a, b := &on.Cells[i], &off.Cells[i]
-		if a.Bench != b.Bench || a.Point.Name != b.Point.Name {
+// matchGroupsOfOne runs the matrix as one sweep and requires every
+// cell — full Result, and sampled statistics when sampling — to equal
+// the same cell run as a group of one.
+func matchGroupsOfOne(t *testing.T, m Matrix, opts ...Option) {
+	t.Helper()
+	g, err := Run(context.Background(), m, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := groupsOfOne(t, m, opts...)
+	for i := range g.Cells {
+		a, b := &g.Cells[i], &alone[i]
+		if a.Bench != b.Bench || a.Seed != b.Seed || a.Point.Name != b.Point.Name {
 			t.Fatalf("cell %d: grids disagree on identity (%s/%s vs %s/%s)",
 				i, a.Bench, a.Point.Name, b.Bench, b.Point.Name)
 		}
 		if !reflect.DeepEqual(a.Result, b.Result) {
-			t.Errorf("%s/%s: broadcast Result differs from per-cell replay:\nbroadcast %+v\npercell   %+v",
+			t.Errorf("%s/%s: group Result differs from a group of one:\ngroup %+v\nalone %+v",
 				a.Bench, a.Point.Name, a.Result, b.Result)
+		}
+		if !reflect.DeepEqual(a.Sample, b.Sample) {
+			t.Errorf("%s/%s: group sampled stats differ from a group of one", a.Bench, a.Point.Name)
 		}
 	}
 }
 
-// TestBroadcastMixedSelect covers the group fallback: when the group's
-// members disagree on SelectConfig, the shared-segmentation fast path
-// is off the table and each member segments the broadcast chunks itself
-// (RunChunk). Results must still match per-cell replay exactly.
+// TestBroadcastEquivalence asserts the decode-once group is
+// measurement-invisible: every member's full Result — counters, cycles,
+// nested component stats — matches the same cell run alone exactly.
+func TestBroadcastEquivalence(t *testing.T) {
+	matchGroupsOfOne(t, broadcastMatrix())
+}
+
+// TestBroadcastMixedSelect covers a group whose members disagree on
+// SelectConfig: the group splits by SelectConfig and each split
+// segments the shared chunks once. Results must still match each cell
+// run alone exactly.
 func TestBroadcastMixedSelect(t *testing.T) {
 	short := baseline(64)
 	short.Select.MaxLen = 8
-	m := Matrix{
+	matchGroupsOfOne(t, Matrix{
 		Name:    "broadcast-mixed",
 		Benches: []string{"compress"},
 		Budget:  50_000,
@@ -78,24 +97,15 @@ func TestBroadcastMixedSelect(t *testing.T) {
 			{Name: "len8", Cfg: short},
 			{Name: "len16-pb", Cfg: precon(64, 64)},
 		},
-	}
-	on, off := runBothModes(t, m)
-	for i := range off.Cells {
-		a, b := &on.Cells[i], &off.Cells[i]
-		if !reflect.DeepEqual(a.Result, b.Result) {
-			t.Errorf("%s/%s: mixed-select broadcast Result differs:\nbroadcast %+v\npercell   %+v",
-				a.Bench, a.Point.Name, a.Result, b.Result)
-		}
-	}
+	})
 }
 
 // TestBroadcastDecodesOnce pins the decode-once contract against the
-// decode-pass counter: a broadcast group of N cells costs exactly one
-// pass over the recorded stream, while per-cell replay costs N.
+// decode-pass counter: a group of N cells costs exactly one pass over
+// the recorded stream, while N groups of one cost N.
 func TestBroadcastDecodesOnce(t *testing.T) {
 	m := broadcastMatrix()
 	ctx := context.Background()
-	defer SetBroadcast(SetBroadcast(true))
 
 	// Warm the stream cache so recording happens outside the window.
 	if _, err := Run(ctx, m); err != nil {
@@ -107,45 +117,40 @@ func TestBroadcastDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := DecodePasses() - before; got != 1 {
-		t.Errorf("broadcast sweep of %d cells took %d decode passes, want 1", len(m.Points), got)
+		t.Errorf("group sweep of %d cells took %d decode passes, want 1", len(m.Points), got)
 	}
 
-	SetBroadcast(false)
 	before = DecodePasses()
-	if _, err := Run(ctx, m); err != nil {
-		t.Fatal(err)
-	}
+	groupsOfOne(t, m)
 	if got := DecodePasses() - before; got != uint64(len(m.Points)) {
-		t.Errorf("per-cell sweep of %d cells took %d decode passes, want %d",
+		t.Errorf("%d groups of one took %d decode passes, want %d",
 			len(m.Points), got, len(m.Points))
 	}
 }
 
 // TestBroadcastStreamCacheBytes checks decoded chunk buffers never hit
 // the stream cache's encoded-bytes accounting: the cache holds
-// encodings only, so a broadcast sweep leaves its byte total exactly
-// where recording put it.
+// encodings only, so a group sweep leaves its byte total exactly where
+// recording put it.
 func TestBroadcastStreamCacheBytes(t *testing.T) {
 	m := broadcastMatrix()
 	ctx := context.Background()
-	defer SetBroadcast(SetBroadcast(true))
 	if _, err := Run(ctx, m); err != nil {
 		t.Fatal(err) // records the stream
 	}
 	entries, bytes := StreamCacheStats()
 	if _, err := Run(ctx, m); err != nil {
-		t.Fatal(err) // broadcast replay: decode must not be charged
+		t.Fatal(err) // group replay: decode must not be charged
 	}
 	e2, b2 := StreamCacheStats()
 	if e2 != entries || b2 != bytes {
-		t.Errorf("broadcast sweep moved stream cache accounting: %d entries/%d bytes -> %d/%d",
+		t.Errorf("group sweep moved stream cache accounting: %d entries/%d bytes -> %d/%d",
 			entries, bytes, e2, b2)
 	}
 }
 
-// TestRunGroups checks the partition: broadcast groups cells by
-// (bench, seed) in declaration order; with broadcast off every cell is
-// its own group.
+// TestRunGroups checks the partition: cells are grouped by (bench,
+// seed) in declaration order.
 func TestRunGroups(t *testing.T) {
 	m := Matrix{
 		Name:    "grouping",
@@ -167,29 +172,17 @@ func TestRunGroups(t *testing.T) {
 		}
 	}
 
-	defer SetBroadcast(SetBroadcast(true))
 	groups := runGroups(g)
 	if len(groups) != 4 { // 2 benches x 2 seeds
 		t.Fatalf("got %d groups, want 4", len(groups))
 	}
-	for _, idx := range groups {
-		if len(idx) != 2 {
-			t.Fatalf("group %v: want 2 members", idx)
+	for gi, idx := range groups {
+		if len(idx) != 2 || idx[0] != 2*gi || idx[1] != 2*gi+1 {
+			t.Fatalf("group %d = %v, want [%d %d]", gi, idx, 2*gi, 2*gi+1)
 		}
 		a, b := &g.Cells[idx[0]], &g.Cells[idx[1]]
 		if a.Bench != b.Bench || a.Seed != b.Seed {
 			t.Errorf("group %v mixes streams: %s/%d and %s/%d", idx, a.Bench, a.Seed, b.Bench, b.Seed)
-		}
-	}
-
-	SetBroadcast(false)
-	groups = runGroups(g)
-	if len(groups) != len(g.Cells) {
-		t.Fatalf("broadcast off: got %d groups, want %d singletons", len(groups), len(g.Cells))
-	}
-	for i, idx := range groups {
-		if len(idx) != 1 || idx[0] != i {
-			t.Fatalf("broadcast off: group %d = %v, want [%d]", i, idx, i)
 		}
 	}
 }

@@ -208,8 +208,8 @@ func ContextWithWorkers(ctx context.Context, n int) context.Context {
 }
 
 // Run executes the matrix: it records (or reuses) each benchmark's
-// dynamic stream, fans the cells out over one worker per CPU, and
-// collects every pipeline.Result into a Grid. The first cell error
+// dynamic stream, fans the stream-sharing groups of cells out over one
+// worker per CPU, and collects every pipeline.Result into a Grid. The first cell error
 // cancels nothing but wins the returned error (remaining cells still
 // run); cancelling ctx stops the sweep promptly and returns ctx.Err().
 func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
@@ -238,9 +238,6 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	if o.sampling != nil {
 		if err := o.sampling.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, err)
-		}
-		if !ReplayOn() {
-			return nil, fmt.Errorf("harness: matrix %q: %w", m.Name, errSamplingNeedsReplay)
 		}
 	}
 
@@ -282,23 +279,16 @@ func Run(ctx context.Context, m Matrix, opts ...Option) (*Grid, error) {
 	report()
 
 	// Fan out over stream-sharing groups rather than individual cells:
-	// cells that replay the same recorded stream run broadcast (one
-	// decode pass, member simulators in lockstep), cells with unique
-	// streams take the per-cell path. Workers bound concurrent groups.
+	// the cells of a group replay one recorded stream from a single
+	// decode pass. Workers bound concurrent groups.
 	groups := runGroups(g)
 	err := forEach(ctx, len(groups), o.workers, func(gi int) error {
 		idx := groups[gi]
-		var err error
-		if len(idx) == 1 {
-			err = runCell(ctx, m, &g.Cells[idx[0]], o.sampling)
-		} else {
-			cells := make([]*Cell, len(idx))
-			for j, i := range idx {
-				cells[j] = &g.Cells[i]
-			}
-			err = broadcastRun(ctx, m, cells, o.sampling)
+		cells := make([]*Cell, len(idx))
+		for j, i := range idx {
+			cells[j] = &g.Cells[i]
 		}
-		if err != nil {
+		if err := runGroup(ctx, m, cells, o.sampling); err != nil {
 			return err
 		}
 		for range idx {

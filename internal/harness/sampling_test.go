@@ -75,42 +75,53 @@ func TestSampledSweep(t *testing.T) {
 	}
 }
 
-// TestSampledBroadcastMatchesPerCell runs the same sampled matrix with
-// broadcast on and off: the group path shares one decode and one
-// segmentation but must produce bit-identical interval statistics to
-// the per-cell path.
+// TestSampledBroadcastMatchesPerCell runs a sampled matrix as groups
+// and as groups of one: a group shares one decode and one segmentation
+// but must produce bit-identical interval statistics to each cell run
+// alone.
 func TestSampledBroadcastMatchesPerCell(t *testing.T) {
-	const budget = 100_000
-	m := samplingTestMatrix(budget)
-	plan := testPlan()
+	matchGroupsOfOne(t, samplingTestMatrix(100_000), WithSampling(testPlan()))
+}
 
-	run := func() *Grid {
-		g, err := Run(context.Background(), m, WithSampling(plan))
-		if err != nil {
+// TestSampledMixedSelectGroup covers a sampled group whose members
+// disagree on SelectConfig, with and without the warm model: each
+// SelectConfig split keeps its own schedule leader, raw skips and
+// segmenter, yet the whole group costs a single decode pass and every
+// member equals the cell run alone.
+func TestSampledMixedSelectGroup(t *testing.T) {
+	short := pipeline.DefaultConfig().WithPrecon(64)
+	short.Select.MaxLen = 8
+	m := Matrix{
+		Name:    "sampled-mixed",
+		Benches: []string{"compress"},
+		Budget:  100_000,
+		Points: []ConfigPoint{
+			{Name: "base", Cfg: pipeline.DefaultConfig()},
+			{Name: "len8-pb64", Cfg: short},
+			{Name: "pb64", Cfg: pipeline.DefaultConfig().WithPrecon(64)},
+		},
+	}
+	for _, warmModel := range []bool{true, false} {
+		plan := testPlan()
+		plan.WarmModel = warmModel
+		ctx := context.Background()
+		if _, err := Run(ctx, m, WithSampling(plan)); err != nil {
+			t.Fatal(err) // records the stream outside the counted window
+		}
+		before := DecodePasses()
+		if _, err := Run(ctx, m, WithSampling(plan)); err != nil {
 			t.Fatal(err)
 		}
-		return g
-	}
-	prev := SetBroadcast(true)
-	broad := run()
-	SetBroadcast(false)
-	percell := run()
-	SetBroadcast(prev)
-
-	for i := range broad.Cells {
-		b, p := &broad.Cells[i], &percell.Cells[i]
-		if !reflect.DeepEqual(b.Sample.Intervals, p.Sample.Intervals) {
-			t.Errorf("%s/%s: broadcast and per-cell interval stats differ", b.Bench, b.Point.Name)
+		if got := DecodePasses() - before; got != 1 {
+			t.Errorf("warmModel=%v: mixed-select sampled group took %d decode passes, want 1", warmModel, got)
 		}
-		if !reflect.DeepEqual(b.Result, p.Result) {
-			t.Errorf("%s/%s: broadcast and per-cell aggregates differ", b.Bench, b.Point.Name)
-		}
+		matchGroupsOfOne(t, m, WithSampling(plan))
 	}
 }
 
-// TestSampledRawSkipBroadcast covers the WarmModel=false broadcast
-// path: fast-forward stretches are raw-skipped (no segmentation) and
-// the shared segmenter restarts at each warm boundary.
+// TestSampledRawSkipBroadcast covers the WarmModel=false group path:
+// fast-forward stretches are raw-skipped (no segmentation) and the
+// shared segmenter restarts at each warm boundary.
 func TestSampledRawSkipBroadcast(t *testing.T) {
 	const budget = 100_000
 	m := samplingTestMatrix(budget)
@@ -126,18 +137,6 @@ func TestSampledRawSkipBroadcast(t *testing.T) {
 		if c.Sample.FFInstrs == 0 || len(c.Sample.Intervals) == 0 {
 			t.Errorf("%s/%s: raw-skip run captured nothing: %+v", c.Bench, c.Point.Name, c.Sample)
 		}
-	}
-}
-
-func TestSamplingRequiresReplay(t *testing.T) {
-	prev := SetReplay(false)
-	defer SetReplay(prev)
-	_, err := Run(context.Background(), samplingTestMatrix(10_000), WithSampling(testPlan()))
-	if err == nil || !strings.Contains(err.Error(), "replay") {
-		t.Fatalf("sampled run without replay must fail actionably, got %v", err)
-	}
-	if _, err := RunBenchmarkSampled("compress", 0, pipeline.DefaultConfig(), 10_000, testPlan()); err == nil {
-		t.Fatal("RunBenchmarkSampled without replay must fail")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tracepre/internal/pipeline"
+	"tracepre/internal/pipeline/pipelinetest"
 )
 
 const testBudget uint64 = 200_000
@@ -16,11 +17,10 @@ func precon(tc, pb int) pipeline.Config {
 }
 
 // TestReplayEquivalence asserts the determinism guarantee behind
-// record-once/replay-many: for every benchmark profile, a simulator
-// driven by a recorded-and-replayed stream produces a Result identical
-// to one driven by direct functional emulation — for both the plain
-// miss-rate machine and the full-timing preconstruction+preprocessing
-// machine.
+// record-once/replay-many: for every benchmark profile, a cell run by
+// the group driver over a recorded stream produces a Result identical
+// to the live-emulation oracle's — for both the plain miss-rate machine
+// and the full-timing preconstruction+preprocessing machine.
 func TestReplayEquivalence(t *testing.T) {
 	timing := precon(128, 128)
 	timing.FullTiming = true
@@ -40,15 +40,11 @@ func TestReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim, err := pipeline.New(im, c.cfg)
+				direct, err := pipelinetest.Live(im, c.cfg, testBudget)
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct, err := sim.Run(testBudget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayed, err := runKeyed(im, streamKey{name: bench, budget: testBudget}, c.cfg, testBudget)
+				replayed, err := RunBenchmark(bench, 0, c.cfg, testBudget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,13 +57,16 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarkReplayToggle asserts both execution modes of the
-// single-cell entry point agree.
+// TestRunBenchmarkReplayToggle: RunBenchmark always replays a recorded
+// stream; switching the same preconstruction machine to live emulation
+// (the pipelinetest.Live oracle) must not change its Result.
 func TestRunBenchmarkReplayToggle(t *testing.T) {
 	cfg := precon(128, 128)
-	was := SetReplay(false)
-	direct, err := RunBenchmark("compress", 0, cfg, testBudget)
-	SetReplay(was)
+	im, err := Image("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := pipelinetest.Live(im, cfg, testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"tracepre/internal/emulator"
@@ -45,38 +44,13 @@ func TestRunTwiceErrors(t *testing.T) {
 	if _, err := sim.Run(1000); !errors.Is(err, ErrRunTwice) {
 		t.Fatalf("second Run: got %v, want ErrRunTwice", err)
 	}
-	// RunSource is guarded by the same contract.
+	// RunStream is guarded by the same contract.
 	st, err := emulator.Record(im, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunSource(st.Replay(), 1000); !errors.Is(err, ErrRunTwice) {
-		t.Fatalf("RunSource after Run: got %v, want ErrRunTwice", err)
-	}
-}
-
-func TestRunSourceMatchesRun(t *testing.T) {
-	im := memLoopImage(t, 200)
-	const budget = 5000
-	for _, timing := range []bool{false, true} {
-		cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
-		cfg.FullTiming = timing
-		direct, err := MustNew(im, cfg).Run(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := emulator.Record(im, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed, err := MustNew(im, cfg).RunSource(st.Replay(), budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(direct, replayed) {
-			t.Errorf("timing=%v: replayed result differs:\ndirect %+v\nreplay %+v",
-				timing, direct, replayed)
-		}
+	if _, err := sim.RunStream(st, 1000); !errors.Is(err, ErrRunTwice) {
+		t.Fatalf("RunStream after Run: got %v, want ErrRunTwice", err)
 	}
 }
 
@@ -110,7 +84,7 @@ func BenchmarkRunAllocs(b *testing.B) {
 	b.SetBytes(budget)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MustNew(im, cfg).RunSource(st.Replay(), budget); err != nil {
+		if _, err := MustNew(im, cfg).RunStream(st, budget); err != nil {
 			b.Fatal(err)
 		}
 	}

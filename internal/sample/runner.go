@@ -303,7 +303,7 @@ func (r *Runner) Feed(tr *trace.Trace, dyns []emulator.Dyn) (done bool, err erro
 	k := uint64(len(dyns))
 	if k > r.budget-r.pos {
 		// The trace completes beyond the budget: drop it, like
-		// pipeline.RunChunk. An open measurement unit is incomplete and
+		// pipeline.Simulator.RunTrace. An open measurement unit is incomplete and
 		// is discarded, never partially reported.
 		r.pos = r.budget
 		r.done = true
@@ -384,68 +384,4 @@ func (r *Runner) Finish() (*Stats, error) {
 		r.st.Aggregate = addResult(r.st.Aggregate, iv.Res)
 	}
 	return &r.st, nil
-}
-
-// Run drives a sampled run over a recorded stream end to end: decode,
-// segment with the simulator's own selection rules, feed the runner.
-// With WarmModel off, fast-forward stretches skip segmentation
-// entirely (the decoded chunks are only counted) and the segmenter is
-// reset at each warm entry. With a ModelWarm tail, segmentation runs
-// continuously — keeping trace boundaries aligned with a full run's —
-// and raw-stretch traces are merely withheld from the simulator
-// (SkipRaw). This is the single-simulator entry point; the harness's
-// broadcast path drives Runners directly so a sweep group shares one
-// decode and one segmentation.
-func Run(sim *pipeline.Simulator, st *emulator.Stream, plan Plan, budget uint64) (*Stats, error) {
-	r, err := NewRunner(sim, plan, budget)
-	if err != nil {
-		return nil, err
-	}
-	seg := trace.NewChunkSegmenter(sim.Config().Select)
-	cr := st.DecodeChunks(0)
-	defer cr.Close()
-	segmenting := true // false inside a WarmModel=false fast-forward
-chunks:
-	for !r.Done() {
-		chunk, ok := cr.Next()
-		if !ok {
-			break
-		}
-		for len(chunk) > 0 && !r.Done() {
-			if !plan.WarmModel && r.Phase() == pipeline.PhaseFastForward {
-				n := r.FFRemaining()
-				if n > uint64(len(chunk)) {
-					n = uint64(len(chunk))
-				}
-				if err := r.SkipRaw(n); err != nil {
-					return nil, err
-				}
-				chunk = chunk[n:]
-				segmenting = false
-				continue
-			}
-			if !segmenting {
-				seg.Reset()
-				segmenting = true
-			}
-			used, tr, dyns := seg.Feed(chunk)
-			chunk = chunk[used:]
-			if tr == nil {
-				continue chunks
-			}
-			if k := uint64(len(dyns)); plan.WarmModel && r.RawFFRemaining() >= k {
-				if err := r.SkipRaw(k); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if _, err := r.Feed(tr, dyns); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := cr.Err(); err != nil {
-		return nil, fmt.Errorf("sample: %w", err)
-	}
-	return r.Finish()
 }

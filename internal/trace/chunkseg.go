@@ -12,11 +12,11 @@ import (
 // group when every member uses the same SelectConfig) slices those
 // chunks into the exact trace sequence the live machine would demand.
 //
-// The termination rules here mirror StreamSegmenter.NextTrace (and
-// therefore Builder.Append) instruction for instruction; the
-// equivalence tests drive both over the same stream at adversarial
-// chunk boundaries and require identical traces. Any divergence is a
-// test failure, not a silent skew.
+// The termination rules here mirror Builder.Append instruction for
+// instruction; the equivalence tests drive this and the Builder-backed
+// Segmenter over the same stream at adversarial chunk boundaries and
+// require identical traces. Any divergence is a test failure, not a
+// silent skew.
 //
 // Feed is zero-copy in the common case: a trace that lies entirely
 // within one chunk borrows the chunk's own Dyn backing. Only a trace

@@ -55,13 +55,13 @@ func feedAll(t *testing.T, st *emulator.Stream, cfg SelectConfig, chunkLen int) 
 	return traces, dyns
 }
 
-// TestChunkSegmenterMatchesStreamSegmenter drives the chunked and fused
-// segmenters over the same recordings and requires the identical trace
-// sequence — including the dyn slices — at chunk sizes chosen to land
-// boundaries inside traces (1 splits every trace; 17 and 1000 are
-// coprime to typical trace lengths; DefaultChunkLen is the production
-// size).
-func TestChunkSegmenterMatchesStreamSegmenter(t *testing.T) {
+// TestChunkSegmenterMatchesSegmenter drives the chunked segmenter and
+// the Builder-backed Segmenter over the same recordings and requires
+// the identical trace sequence — including the dyn slices — at chunk
+// sizes chosen to land boundaries inside traces (1 splits every trace;
+// 17 and 1000 are coprime to typical trace lengths; DefaultChunkLen is
+// the production size).
+func TestChunkSegmenterMatchesSegmenter(t *testing.T) {
 	const budget = 30_000
 	cfgs := []SelectConfig{
 		DefaultSelectConfig(),
@@ -71,19 +71,25 @@ func TestChunkSegmenterMatchesStreamSegmenter(t *testing.T) {
 	for _, name := range []string{"gcc", "compress"} {
 		st := chunkRecord(t, name, budget)
 		for _, cfg := range cfgs {
-			// Reference sequence from the fused segmenter.
+			// Reference sequence from the Segmenter over a replay.
 			var wantTr []*Trace
 			var wantDy [][]emulator.Dyn
-			ss := NewStreamSegmenter(st, cfg)
+			seg := NewSegmenter(cfg)
+			rp := st.Replay()
+			var pending []emulator.Dyn
 			for {
-				tr, ds, ok := ss.NextTrace(uint64(cfg.MaxLen))
+				d, ok := rp.Next()
 				if !ok {
 					break
 				}
-				wantTr = append(wantTr, tr.Clone())
-				wantDy = append(wantDy, append([]emulator.Dyn(nil), ds...))
+				pending = append(pending, d)
+				if tr := seg.Push(d); tr != nil {
+					wantTr = append(wantTr, tr)
+					wantDy = append(wantDy, pending)
+					pending = nil
+				}
 			}
-			if err := ss.Err(); err != nil {
+			if err := rp.Err(); err != nil {
 				t.Fatal(err)
 			}
 			for _, chunkLen := range []int{1, 17, 1000, emulator.DefaultChunkLen} {
@@ -94,7 +100,7 @@ func TestChunkSegmenterMatchesStreamSegmenter(t *testing.T) {
 				}
 				for i := range wantTr {
 					if !tracesEqual(gotTr[i], wantTr[i]) {
-						t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d differs:\nchunked %v\nfused   %v",
+						t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d differs:\nchunked   %v\nsegmenter %v",
 							name, cfg, chunkLen, i, gotTr[i], wantTr[i])
 					}
 					if len(gotDy[i]) != len(wantDy[i]) {
