@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build examples fmt-check vet lint test race bench bench-smoke experiments fuzz ci clean
+.PHONY: all build examples fmt-check vet lint test race bench bench-smoke tools-smoke experiments fuzz ci clean
 
 all: build vet test
 
@@ -72,6 +72,20 @@ bench-smoke:
 	$(GO) test -run 'TestSampledCoversFullRunCI' -count 1 ./internal/core/
 	$(GO) test -run 'TestSampled' -count 1 ./internal/harness/ ./internal/sample/
 
+# Run the command-line tools and the anatomy example end to end on
+# small budgets: each must exit 0 and print something. `make examples`
+# only builds them.
+tools-smoke:
+	@set -e; for cmd in \
+		"./cmd/tracesim -bench gcc -tc 256 -pb 256 -n 2000000 -timeline 100000" \
+		"./cmd/traces -bench gcc -n 1000000" \
+		"./cmd/workload -bench gcc -n 1000000" \
+		"./examples/precon-anatomy"; do \
+		out=$$($(GO) run $$cmd) || { echo "tools-smoke: $$cmd failed"; exit 1; }; \
+		[ -n "$$out" ] || { echo "tools-smoke: $$cmd printed nothing"; exit 1; }; \
+		echo "ok  $$cmd ($$(printf '%s\n' "$$out" | wc -l) lines)"; \
+	done
+
 # Regenerate every paper table/figure plus the extension studies at the
 # full default budget (writes to stdout; takes a few minutes).
 experiments: build
@@ -80,6 +94,7 @@ experiments: build
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/isa/
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
+	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 
 clean:
 	$(GO) clean ./...

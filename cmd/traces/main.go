@@ -41,8 +41,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	e := emulator.New(im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
+	st, err := emulator.Record(im, *n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "traces:", err)
+		os.Exit(1)
+	}
 	var (
 		lenHist  [17]uint64
 		brHist   [17]uint64
@@ -67,18 +70,16 @@ func main() {
 			endAlign++
 		}
 	}
-	_, err = e.Run(*n, func(d emulator.Dyn) bool {
-		if tr := seg.Push(d); tr != nil {
-			total++
-			instrs += uint64(tr.Len())
-			lenHist[tr.Len()]++
-			brHist[tr.NumBr]++
-			classify(tr)
-			id := tr.ID()
-			hot[id]++
-			if _, ok := sample[id]; !ok {
-				sample[id] = tr
-			}
+	err = trace.Walk(st, trace.DefaultSelectConfig(), func(tr *trace.Trace, _ []emulator.Dyn) bool {
+		total++
+		instrs += uint64(tr.Len())
+		lenHist[tr.Len()]++
+		brHist[tr.NumBr]++
+		classify(tr)
+		id := tr.ID()
+		hot[id]++
+		if _, ok := sample[id]; !ok {
+			sample[id] = tr.Clone() // Walk lends tr for this call only
 		}
 		return true
 	})

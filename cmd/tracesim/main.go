@@ -14,6 +14,11 @@
 // budget; -sample-detail, -sample-warm and -sample-target-ci override
 // the unit length, detailed warm-up length, and adaptive stopping
 // target.
+//
+// -timeline W prints the trace-cache miss rate per window of at least W
+// retired instructions as a sparkline. The windows are differences of
+// simulator Snapshots taken during a full-detail run, so -timeline
+// cannot be combined with -sample.
 package main
 
 import (
@@ -23,10 +28,65 @@ import (
 	"os"
 
 	"tracepre/internal/core"
+	"tracepre/internal/emulator"
 	"tracepre/internal/pipeline"
 	"tracepre/internal/sample"
 	"tracepre/internal/stats"
+	"tracepre/internal/trace"
 )
+
+// window is one -timeline window: the instructions retired in it and
+// the demanded traces the slow path built.
+type window struct {
+	instrs, misses uint64
+}
+
+// runTimeline simulates cfg over the first budget instructions of the
+// benchmark and closes a window at the first trace boundary where at
+// least every instructions have retired since the last one. Both counts
+// of a window are differences of two Snapshots, which leave the run
+// untouched: the returned Result equals core.RunBenchmark's.
+func runTimeline(bench string, cfg pipeline.Config, budget, every uint64) (pipeline.Result, []window, error) {
+	im, err := core.Image(bench)
+	if err != nil {
+		return pipeline.Result{}, nil, err
+	}
+	st, err := emulator.Record(im, budget)
+	if err != nil {
+		return pipeline.Result{}, nil, err
+	}
+	sim, err := pipeline.New(im, cfg)
+	if err != nil {
+		return pipeline.Result{}, nil, err
+	}
+	if err := sim.StartChunked(budget); err != nil {
+		return pipeline.Result{}, nil, err
+	}
+	var (
+		wins  []window
+		last  pipeline.Result
+		since uint64 // instructions demanded since the last window
+	)
+	err = trace.Walk(st, cfg.Select, func(tr *trace.Trace, dyns []emulator.Dyn) bool {
+		done, _ := sim.RunTrace(tr, dyns) // cannot fail: the run is open
+		// len(dyns) overcounts a trace RunTrace dropped at the budget;
+		// the snapshot holds what actually retired.
+		if since += uint64(len(dyns)); since >= every {
+			snap := sim.Snapshot()
+			if n := snap.Instructions - last.Instructions; n >= every {
+				wins = append(wins, window{n, snap.TCMisses() - last.TCMisses()})
+				last = snap
+			}
+			since = snap.Instructions - last.Instructions
+		}
+		return !done
+	})
+	if err != nil {
+		return pipeline.Result{}, nil, err
+	}
+	res, err := sim.Finish()
+	return res, wins, err
+}
 
 // sampleFlags validates -sample and the flags that accompany it and
 // returns the sampling schedule. -timeline needs a full-detail run: a
@@ -85,31 +145,34 @@ func main() {
 	if *timing || *preproc {
 		cfg = core.TimingConfig(cfg, *preproc)
 	}
-	cfg.WindowInstrs = *timeline
 
-	var res pipeline.Result
-	var sampled *sample.Stats
-	if *doSample {
-		st, err := core.RunBenchmarkSampled(*bench, cfg, *n, plan)
-		if err != nil {
-			fail(err)
+	var (
+		res     pipeline.Result
+		sampled *sample.Stats
+		wins    []window
+		err     error
+	)
+	switch {
+	case *doSample:
+		if sampled, err = core.RunBenchmarkSampled(*bench, cfg, *n, plan); err == nil {
+			res = sampled.Aggregate
 		}
-		sampled = st
-		res = st.Aggregate
-	} else {
-		var err error
-		if res, err = core.RunBenchmark(*bench, cfg, *n); err != nil {
-			fail(err)
-		}
+	case *timeline > 0:
+		res, wins, err = runTimeline(*bench, cfg, *n, *timeline)
+	default:
+		res, err = core.RunBenchmark(*bench, cfg, *n)
+	}
+	if err != nil {
+		fail(err)
 	}
 
 	t := stats.NewTable(fmt.Sprintf("tracesim %s: TC=%d PB=%d budget=%d", *bench, *tc, *pb, *n),
 		"metric", "value")
 	t.AddRow("instructions", res.Instructions)
 	t.AddRow("traces", res.Traces)
-	t.AddRow("trace cache hits", res.TCHits)
-	t.AddRow("supplied by preconstruction", res.PreconSupplied)
-	t.AddRow("trace cache misses", res.TCMisses)
+	t.AddRow("trace cache hits", res.TCHits())
+	t.AddRow("supplied by preconstruction", res.PreconSupplied())
+	t.AddRow("trace cache misses", res.TCMisses())
 	t.AddRow("trace misses / 1000 instr", res.TCMissPerKI())
 	t.AddRow("instr from i-cache / 1000 instr", res.ICacheInstrsPerKI())
 	t.AddRow("i-cache misses / 1000 instr", res.ICacheMissesPerKI())
@@ -140,11 +203,11 @@ func main() {
 		fmt.Print(t3.String())
 	}
 
-	if len(res.Windows) > 0 {
-		series := make([]float64, len(res.Windows))
+	if len(wins) > 0 {
+		series := make([]float64, len(wins))
 		peak := 0.0
-		for i, w := range res.Windows {
-			series[i] = w.MissPerKI()
+		for i, w := range wins {
+			series[i] = float64(w.misses) * 1000 / float64(w.instrs)
 			if series[i] > peak {
 				peak = series[i]
 			}

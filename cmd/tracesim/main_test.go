@@ -1,9 +1,52 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"tracepre/internal/core"
 )
+
+// TestWindowedStats checks the -timeline windows: none is shorter than
+// the window length, their sums stay within the run totals, and taking
+// the Snapshots leaves the run itself untouched — the timeline run's
+// Result equals core.RunBenchmark's for the same configuration.
+func TestWindowedStats(t *testing.T) {
+	const budget, every = 200_000, 10_000
+	cfg := core.PreconConfig(64, 64)
+	res, wins, err := runTimeline("gcc", cfg, budget, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wins) < 5 {
+		t.Fatalf("windows = %d", len(wins))
+	}
+	var sumI, sumM uint64
+	for _, w := range wins {
+		if w.instrs < every {
+			t.Errorf("short window: %d", w.instrs)
+		}
+		sumI += w.instrs
+		sumM += w.misses
+	}
+	if sumI > res.Instructions {
+		t.Errorf("window instructions %d exceed total %d", sumI, res.Instructions)
+	}
+	if sumM > res.TCMisses() {
+		t.Errorf("window misses %d exceed total %d", sumM, res.TCMisses())
+	}
+	if sumM == 0 {
+		t.Error("no misses in any window")
+	}
+	want, err := core.RunBenchmark("gcc", cfg, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("timeline run diverged from RunBenchmark:\n got %+v\nwant %+v", res, want)
+	}
+}
 
 // TestSampleRejectsTimeline: a sampled run keeps no per-window
 // statistics, so -sample with -timeline must fail flag validation with

@@ -60,24 +60,30 @@ func main() {
 	t.AddRow("indirect jumps", st.IndJumps)
 	fmt.Print(t.String())
 
-	// Dynamic statistics over the first n instructions.
-	e := emulator.New(im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
+	// Dynamic statistics over the complete traces of the first n
+	// instructions.
+	rec, err := emulator.Record(im, *n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "workload:", err)
+		os.Exit(1)
+	}
 	unique := map[trace.ID]bool{}
-	var traces, branches, taken, calls uint64
-	ran, err := e.Run(*n, func(d emulator.Dyn) bool {
-		if d.Inst.IsBranch() {
-			branches++
-			if d.Taken {
-				taken++
+	var ran, traces, branches, taken, calls uint64
+	err = trace.Walk(rec, trace.DefaultSelectConfig(), func(tr *trace.Trace, dyns []emulator.Dyn) bool {
+		traces++
+		ran += uint64(len(dyns))
+		unique[tr.ID()] = true
+		for i := range dyns {
+			d := &dyns[i]
+			if d.Inst.IsBranch() {
+				branches++
+				if d.Taken {
+					taken++
+				}
 			}
-		}
-		if d.Inst.IsCall() {
-			calls++
-		}
-		if tr := seg.Push(d); tr != nil {
-			traces++
-			unique[tr.ID()] = true
+			if d.Inst.IsCall() {
+				calls++
+			}
 		}
 		return true
 	})

@@ -124,9 +124,9 @@ func main() {
 
 	t := stats.NewTable("interpreter kernel: trace supply",
 		"configuration", "miss/1000 instr", "supplied by precon")
-	t.AddRow("32-entry TC", base.TCMissPerKI(), base.PreconSupplied)
-	t.AddRow("32 TC + 32 PB (paper)", pre.TCMissPerKI(), pre.PreconSupplied)
-	t.AddRow("32 TC + 32 PB + indirect targets", ext.TCMissPerKI(), ext.PreconSupplied)
+	t.AddRow("32-entry TC", base.TCMissPerKI(), base.PreconSupplied())
+	t.AddRow("32 TC + 32 PB (paper)", pre.TCMissPerKI(), pre.PreconSupplied())
+	t.AddRow("32 TC + 32 PB + indirect targets", ext.TCMissPerKI(), ext.PreconSupplied())
 	fmt.Print(t.String())
 	fmt.Printf("\npaper mechanism cut misses by %.1f%%; resolving indirect targets by %.1f%%\n",
 		stats.Reduction(base.TCMissPerKI(), pre.TCMissPerKI()),

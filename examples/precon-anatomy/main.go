@@ -85,34 +85,31 @@ func main() {
 	})
 
 	fmt.Println("\nexecution (trace by trace):")
-	em := emulator.New(im)
-	seg := trace.NewSegmenter(trace.DefaultSelectConfig())
-	var pending []emulator.Dyn
+	stream, err := emulator.Record(im, 10_000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	supplied := 0
-	_, err = em.Run(10_000, func(d emulator.Dyn) bool {
-		pending = append(pending, d)
-		if tr := seg.Push(d); tr != nil {
-			id := tr.ID()
-			eng.OnDemandFetch(id.Start)
-			if _, hit := tc.Lookup(id); hit {
-				fmt.Printf("  demand %v: trace cache hit\n", id)
-			} else if got, hit := buf.Take(id); hit {
-				supplied++
-				tc.Insert(got)
-				fmt.Printf("  demand %v: SUPPLIED BY PRECONSTRUCTION\n", id)
-			} else {
-				tc.Insert(tr)
-				fmt.Printf("  demand %v: miss, built by slow path\n", id)
-			}
-			for _, dd := range pending {
-				if dd.Inst.IsBranch() {
-					bim.Update(dd.PC, dd.Taken)
-				}
-				eng.Observe(dd)
-			}
-			pending = pending[:0]
-			eng.Step(16) // idle slow-path cycles granted to the engine
+	err = trace.Walk(stream, trace.DefaultSelectConfig(), func(tr *trace.Trace, dyns []emulator.Dyn) bool {
+		id := tr.ID()
+		eng.OnDemandFetch(id.Start)
+		if _, hit := tc.Lookup(id); hit {
+			fmt.Printf("  demand %v: trace cache hit\n", id)
+		} else if got, hit := buf.Take(id); hit {
+			supplied++
+			tc.Insert(got)
+			fmt.Printf("  demand %v: SUPPLIED BY PRECONSTRUCTION\n", id)
+		} else {
+			tc.Insert(tr.Clone()) // Walk lends tr for this call only
+			fmt.Printf("  demand %v: miss, built by slow path\n", id)
 		}
+		for _, d := range dyns {
+			if d.Inst.IsBranch() {
+				bim.Update(d.PC, d.Taken)
+			}
+			eng.Observe(d)
+		}
+		eng.Step(16) // idle slow-path cycles granted to the engine
 		return true
 	})
 	if err != nil {

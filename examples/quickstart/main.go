@@ -32,8 +32,8 @@ func main() {
 
 	t := stats.NewTable(fmt.Sprintf("%s, %d instructions", bench, budget),
 		"configuration", "miss/1000 instr", "supplied by precon", "i-cache instr/KI")
-	t.AddRow("512 TC", base.TCMissPerKI(), base.PreconSupplied, base.ICacheInstrsPerKI())
-	t.AddRow("256 TC + 256 PB", pre.TCMissPerKI(), pre.PreconSupplied, pre.ICacheInstrsPerKI())
+	t.AddRow("512 TC", base.TCMissPerKI(), base.PreconSupplied(), base.ICacheInstrsPerKI())
+	t.AddRow("256 TC + 256 PB", pre.TCMissPerKI(), pre.PreconSupplied(), pre.ICacheInstrsPerKI())
 	fmt.Print(t.String())
 
 	fmt.Printf("\npreconstruction reduced the trace cache miss rate by %.1f%% at equal storage\n",

@@ -18,7 +18,7 @@ func ExampleRunBenchmark() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("preconstruction supplied traces:", pre.PreconSupplied > 0)
+	fmt.Println("preconstruction supplied traces:", pre.PreconSupplied() > 0)
 	fmt.Println("equal-storage miss rate reduced:", pre.TCMissPerKI() < base.TCMissPerKI())
 	// Output:
 	// preconstruction supplied traces: true

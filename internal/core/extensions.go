@@ -165,7 +165,7 @@ func PreconAblationsCtx(ctx context.Context, budget uint64, benches []string) (*
 			out.Rows = append(out.Rows, AblationRow{
 				Variant: name, Bench: b,
 				MissPerKI:      harness.TCMissPerKI.Of(res),
-				PreconSupplied: res.PreconSupplied,
+				PreconSupplied: res.PreconSupplied(),
 			})
 		}
 	}

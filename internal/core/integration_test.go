@@ -79,9 +79,9 @@ func TestTimingConsistency(t *testing.T) {
 	}
 	// The engine's idle-cycle grants differ between models, so supply
 	// counts may diverge slightly — but not wildly.
-	ratio := float64(full.TCMisses+1) / float64(fast.TCMisses+1)
+	ratio := float64(full.TCMisses()+1) / float64(fast.TCMisses()+1)
 	if ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("miss counts diverge: %d vs %d", fast.TCMisses, full.TCMisses)
+		t.Errorf("miss counts diverge: %d vs %d", fast.TCMisses(), full.TCMisses())
 	}
 	if full.Cycles == 0 || fast.Cycles == 0 {
 		t.Error("cycles not charged")

@@ -8,33 +8,6 @@ import (
 	"tracepre/internal/program"
 )
 
-// Source is any producer of the committed dynamic instruction stream.
-// Next returns the next committed instruction, or ok=false when the
-// stream ends (clean halt, exhausted recording, or error). After
-// ok=false, Err reports the first error other than a clean halt.
-//
-// The live Emulator implements Source, as does Replayer.
-type Source interface {
-	Next() (Dyn, bool)
-	Err() error
-}
-
-// Next implements Source: it commits one instruction, reporting ok=false
-// on halt or error. The error (if any) is available via Err.
-func (e *Emulator) Next() (Dyn, bool) {
-	d, err := e.Step()
-	if err != nil {
-		if err != ErrHalted && e.runErr == nil {
-			e.runErr = err
-		}
-		return Dyn{}, false
-	}
-	return d, true
-}
-
-// Err implements Source: the first error other than a clean halt.
-func (e *Emulator) Err() error { return e.runErr }
-
 // Stream is a compact recording of a committed dynamic instruction
 // stream. Only the truly dynamic bits are stored — conditional branch
 // outcomes (one bit each), indirect jump targets and memory effective
@@ -140,8 +113,7 @@ func Record(im *program.Image, budget uint64) (*Stream, error) {
 	return r.Stream(), nil
 }
 
-// Replayer re-emits a recorded Stream as Dyn records, implementing
-// Source. Replay is allocation-free and bit-identical to the original
+// Replayer re-emits a recorded Stream as Dyn records. Replay is allocation-free and bit-identical to the original
 // emulation: instructions are re-decoded from the program image and the
 // recorded dynamic bits fill in branch outcomes, indirect targets and
 // memory addresses.
@@ -175,7 +147,8 @@ func (r *Replayer) readAux() (int64, bool) {
 	return unzigzag(u), true
 }
 
-// Next implements Source.
+// Next returns the next recorded instruction, or ok=false at the end
+// of the stream or on a decode error (reported by Err).
 func (r *Replayer) Next() (Dyn, bool) {
 	var d Dyn
 	if !r.NextInto(&d) {
@@ -237,5 +210,5 @@ func (r *Replayer) NextInto(d *Dyn) bool {
 	return true
 }
 
-// Err implements Source.
+// Err reports the first decode error, nil at a clean end of stream.
 func (r *Replayer) Err() error { return r.err }

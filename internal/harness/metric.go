@@ -39,7 +39,7 @@ var (
 		if r.Instructions == 0 {
 			return 0
 		}
-		return float64(r.SlowPathInstrs) * 100 / float64(r.Instructions)
+		return float64(r.SlowPathInstrs()) * 100 / float64(r.Instructions)
 	}}
 	// PredAccuracy is the next-trace predictor's accuracy.
 	PredAccuracy = Metric{"pred-accuracy", func(r pipeline.Result) float64 {

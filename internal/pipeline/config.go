@@ -98,11 +98,6 @@ type Config struct {
 	// with the preprocessed schedule.
 	PreprocEnabled bool
 
-	// WindowInstrs, when positive, records per-window supply statistics
-	// (Result.Windows): one window per this many committed
-	// instructions. Used by cmd/tracesim's timeline view.
-	WindowInstrs uint64
-
 	// ObserveWrongPath feeds wrong-path dispatch to the preconstruction
 	// engine's start-point stack: when the next-trace prediction is
 	// wrong and the (wrong) predicted trace is cache-resident, the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tracepre/internal/emulator"
+	"tracepre/internal/frontend"
 	"tracepre/internal/workload"
 )
 
@@ -122,17 +123,79 @@ func TestPortStealsOnlyIdleCycles(t *testing.T) {
 		t.Errorf("port counted %d engine misses, engine %d",
 			port.PreconMisses, res.Precon.ICacheMisses)
 	}
-	if port.DemandAccesses != res.SlowICAccesses {
+	if port.DemandAccesses != res.SlowICAccesses() {
 		t.Errorf("port demand accesses %d != slow-path accesses %d",
-			port.DemandAccesses, res.SlowICAccesses)
+			port.DemandAccesses, res.SlowICAccesses())
 	}
-	if port.DemandMisses != res.SlowICMisses {
+	if port.DemandMisses != res.SlowICMisses() {
 		t.Errorf("port demand misses %d != slow-path misses %d",
-			port.DemandMisses, res.SlowICMisses)
+			port.DemandMisses, res.SlowICMisses())
 	}
 	// Total i-cache misses decompose exactly into the two port sides.
 	if res.TotalICMisses != port.DemandMisses+port.PreconMisses {
 		t.Errorf("TotalICMisses %d != demand %d + engine %d",
 			res.TotalICMisses, port.DemandMisses, port.PreconMisses)
+	}
+}
+
+// TestSupplyAccessors pins the one supply ledger: each of Result's
+// supply accessors reads its frontend.Stats source on every frontend
+// design, the three supply classes partition the demanded traces, and
+// on a zero Result (no suppliers at all) every accessor returns 0.
+func TestSupplyAccessors(t *testing.T) {
+	accessors := []struct {
+		name string
+		get  func(Result) uint64
+		src  func(frontend.Stats) uint64
+	}{
+		{"TCHits", Result.TCHits, func(fs frontend.Stats) uint64 { return fs.Suppliers[0].Hits }},
+		{"PreconSupplied", Result.PreconSupplied, func(fs frontend.Stats) uint64 {
+			var n uint64
+			for _, s := range fs.Suppliers[1:] {
+				n += s.Hits
+			}
+			return n
+		}},
+		{"TCMisses", Result.TCMisses, func(fs frontend.Stats) uint64 { return fs.Slow.Builds }},
+		{"SlowPathInstrs", Result.SlowPathInstrs, func(fs frontend.Stats) uint64 { return fs.Slow.Instrs }},
+		{"SlowICAccesses", Result.SlowICAccesses, func(fs frontend.Stats) uint64 { return fs.Slow.ICAccesses }},
+		{"SlowICMisses", Result.SlowICMisses, func(fs frontend.Stats) uint64 { return fs.Slow.ICMisses }},
+		{"InstrsFromICMisses", Result.InstrsFromICMisses, func(fs frontend.Stats) uint64 { return fs.Slow.InstrsFromICMisses }},
+		{"SlowBranchMisp", Result.SlowBranchMisp, func(fs frontend.Stats) uint64 { return fs.Slow.BranchMisp }},
+	}
+	for _, a := range accessors {
+		if got := a.get(Result{}); got != 0 {
+			t.Errorf("zero Result: %s = %d", a.name, got)
+		}
+	}
+
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range equivDesigns() {
+		t.Run(d.name, func(t *testing.T) {
+			res, err := MustNew(im, d.cfg).Run(60_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range accessors {
+				if got, want := a.get(res), a.src(res.Frontend); got != want {
+					t.Errorf("%s = %d, Frontend holds %d", a.name, got, want)
+				}
+			}
+			if n := res.TCHits() + res.PreconSupplied() + res.TCMisses(); n != res.Traces {
+				t.Errorf("supply classes sum to %d of %d traces", n, res.Traces)
+			}
+			if res.TCHits() == 0 || res.TCMisses() == 0 ||
+				(len(res.Frontend.Suppliers) > 1) != (res.PreconSupplied() > 0) {
+				t.Errorf("degenerate run: %d hits, %d supplied by %d suppliers, %d misses",
+					res.TCHits(), res.PreconSupplied(), len(res.Frontend.Suppliers), res.TCMisses())
+			}
+		})
 	}
 }

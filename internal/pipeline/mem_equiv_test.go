@@ -22,7 +22,8 @@ import (
 // deliberately NOT regenerable — it is the frozen legacy behavior. Every
 // field that existed before the refactor must match bit for bit; fields
 // the refactor added (Memory, Port.PreconMemDenied) are additive and not
-// present in the legacy capture.
+// present in the legacy capture. The capture's top-level supply
+// counters are now Result accessors and are compared by value.
 func TestFixedLevelMatchesLegacyConstant(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "mem", "legacy.golden.json"))
 	if err != nil {
@@ -80,9 +81,36 @@ func TestFixedLevelMatchesLegacyConstant(t *testing.T) {
 			if err := json.Unmarshal(buf, &got); err != nil {
 				t.Fatal(err)
 			}
+			// The capture predates the supply accessors and the removal
+			// of per-window statistics: its top-level supply counters
+			// are compared against the accessors that replaced them, and
+			// its Windows must be the null a windowless run serialized.
+			for key, get := range legacySupplyAccessors {
+				if _, ok := want[key]; !ok {
+					t.Errorf("Result.%s: legacy capture lacks the supply counter", key)
+				}
+				got[key] = float64(get(res))
+			}
+			if w, ok := want["Windows"]; !ok || w != nil {
+				t.Errorf("legacy capture's \"Windows\" key holds %v, want null", w)
+			}
+			got["Windows"] = nil
 			legacySubsetEqual(t, "Result", got, want)
 		})
 	}
+}
+
+// legacySupplyAccessors maps the legacy capture's top-level supply
+// counters to the Result accessors that now derive them from Frontend.
+var legacySupplyAccessors = map[string]func(Result) uint64{
+	"TCHits":             Result.TCHits,
+	"PreconSupplied":     Result.PreconSupplied,
+	"TCMisses":           Result.TCMisses,
+	"SlowPathInstrs":     Result.SlowPathInstrs,
+	"SlowICAccesses":     Result.SlowICAccesses,
+	"SlowICMisses":       Result.SlowICMisses,
+	"InstrsFromICMisses": Result.InstrsFromICMisses,
+	"SlowBranchMisp":     Result.SlowBranchMisp,
 }
 
 // legacySubsetEqual asserts every field the legacy capture has is

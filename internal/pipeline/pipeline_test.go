@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tracepre/internal/frontend"
 	"tracepre/internal/isa"
 	"tracepre/internal/mem"
 	"tracepre/internal/program"
@@ -137,15 +138,15 @@ func TestHotLoopHitsTraceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TCMisses > res.Traces/10 {
-		t.Errorf("hot loop misses %d of %d traces", res.TCMisses, res.Traces)
+	if res.TCMisses() > res.Traces/10 {
+		t.Errorf("hot loop misses %d of %d traces", res.TCMisses(), res.Traces)
 	}
-	if res.TCHits == 0 {
+	if res.TCHits() == 0 {
 		t.Error("no trace cache hits")
 	}
 	// Hot-loop slow path supplies only the cold traces.
-	if res.SlowPathInstrs >= res.Instructions/2 {
-		t.Errorf("slow path supplied %d of %d", res.SlowPathInstrs, res.Instructions)
+	if res.SlowPathInstrs() >= res.Instructions/2 {
+		t.Errorf("slow path supplied %d of %d", res.SlowPathInstrs(), res.Instructions)
 	}
 }
 
@@ -189,8 +190,8 @@ func TestResultAccessorsZero(t *testing.T) {
 		r.ICacheMissesPerKI() != 0 || r.InstrsFromICMissesPerKI() != 0 || r.IPC() != 0 {
 		t.Error("zero result accessors not zero")
 	}
-	r = Result{Instructions: 2000, TCMisses: 6, SlowPathInstrs: 100,
-		TotalICMisses: 4, InstrsFromICMisses: 50, Cycles: 1000}
+	r = Result{Instructions: 2000, TotalICMisses: 4, Cycles: 1000,
+		Frontend: frontend.Stats{Slow: frontend.SlowPathStats{Builds: 6, Instrs: 100, InstrsFromICMisses: 50}}}
 	if r.TCMissPerKI() != 3 {
 		t.Errorf("TCMissPerKI = %f", r.TCMissPerKI())
 	}
@@ -215,13 +216,13 @@ func TestSupplyInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TCHits+res.PreconSupplied+res.TCMisses != res.Traces {
+	if res.TCHits()+res.PreconSupplied()+res.TCMisses() != res.Traces {
 		t.Errorf("supply paths don't partition traces: %+v", res)
 	}
-	if res.InstrsFromICMisses > res.SlowPathInstrs {
+	if res.InstrsFromICMisses() > res.SlowPathInstrs() {
 		t.Error("more instructions from misses than from the i-cache")
 	}
-	if res.SlowICMisses > res.TotalICMisses {
+	if res.SlowICMisses() > res.TotalICMisses {
 		t.Error("slow-path misses exceed total misses")
 	}
 }
@@ -260,7 +261,7 @@ func TestPreconReducesMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.PreconSupplied == 0 {
+	if pre.PreconSupplied() == 0 {
 		t.Fatalf("preconstruction supplied nothing; precon stats: %+v", pre.Precon)
 	}
 	if pre.TCMissPerKI() >= base.TCMissPerKI() {
@@ -362,8 +363,8 @@ func TestBiggerTraceCacheNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.TCMisses > small.TCMisses {
-		t.Errorf("bigger cache missed more: %d > %d", big.TCMisses, small.TCMisses)
+	if big.TCMisses() > small.TCMisses() {
+		t.Errorf("bigger cache missed more: %d > %d", big.TCMisses(), small.TCMisses())
 	}
 }
 
@@ -374,45 +375,5 @@ func TestPreconEngineAccessor(t *testing.T) {
 	}
 	if MustNew(im, DefaultConfig().WithPrecon(32)).PreconEngine() == nil {
 		t.Error("engine absent when enabled")
-	}
-}
-
-func TestWindowedStats(t *testing.T) {
-	im := loopImage(t, 500)
-	cfg := DefaultConfig()
-	cfg.WindowInstrs = 1000
-	res, err := MustNew(im, cfg).Run(10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Windows) < 5 {
-		t.Fatalf("windows = %d", len(res.Windows))
-	}
-	var sumI, sumM uint64
-	for _, w := range res.Windows {
-		if w.Instructions < cfg.WindowInstrs {
-			t.Errorf("short window: %d", w.Instructions)
-		}
-		sumI += w.Instructions
-		sumM += w.TCMisses
-	}
-	if sumI > res.Instructions {
-		t.Errorf("window instructions %d exceed total %d", sumI, res.Instructions)
-	}
-	if sumM > res.TCMisses {
-		t.Errorf("window misses %d exceed total %d", sumM, res.TCMisses)
-	}
-	// MissPerKI accessor.
-	w := WindowStat{Instructions: 2000, TCMisses: 4}
-	if w.MissPerKI() != 2 {
-		t.Errorf("MissPerKI = %f", w.MissPerKI())
-	}
-	if (WindowStat{}).MissPerKI() != 0 {
-		t.Error("zero window MissPerKI != 0")
-	}
-	// Disabled windows: no allocation.
-	res2, _ := MustNew(im, DefaultConfig()).Run(5_000)
-	if len(res2.Windows) != 0 {
-		t.Error("windows recorded when disabled")
 	}
 }

@@ -22,18 +22,10 @@ type Result struct {
 	Traces       uint64
 	Cycles       uint64
 
-	// Trace supply.
-	TCHits         uint64 // demanded traces found in the trace cache
-	PreconSupplied uint64 // demanded traces found in the buffers
-	TCMisses       uint64 // demanded traces built by the slow path
-
-	// Slow path / instruction cache.
-	SlowPathInstrs     uint64 // instructions supplied by the i-cache
-	SlowICAccesses     uint64 // slow-path line accesses
-	SlowICMisses       uint64 // slow-path i-cache misses
-	InstrsFromICMisses uint64 // instructions supplied under an i-cache miss
-	TotalICMisses      uint64 // including preconstruction-induced misses
-	SlowBranchMisp     uint64 // slow-path bimodal/RAS/target mispredicts
+	// TotalICMisses counts every i-cache miss, including the
+	// preconstruction engine's; the demand-side supply counters live in
+	// Frontend and are read through the accessor methods below.
+	TotalICMisses uint64
 
 	// Backend (full timing only).
 	Loads        uint64
@@ -44,12 +36,6 @@ type Result struct {
 	// buffer-share target and how often the feedback loop moved it.
 	AdaptivePBShare float64
 	AdaptiveAdjusts uint64
-
-	// Windows holds per-window supply statistics when
-	// Config.WindowInstrs > 0: one entry per window of committed
-	// instructions, in execution order (phase behaviour shows up as
-	// periodic miss-rate swings).
-	Windows []WindowStat
 
 	Pred   tpred.Stats
 	Precon precon.Stats
@@ -70,56 +56,69 @@ type Result struct {
 	Intern trace.StoreStats
 }
 
-// WindowStat is one measurement window of a run.
-type WindowStat struct {
-	Instructions   uint64
-	TCMisses       uint64
-	PreconSupplied uint64
-}
-
-// MissPerKI returns the window's trace-cache miss rate.
-func (w WindowStat) MissPerKI() float64 {
-	if w.Instructions == 0 {
+// TCHits returns the demanded traces found in the trace cache
+// (supplier 0).
+func (r Result) TCHits() uint64 {
+	if len(r.Frontend.Suppliers) == 0 {
 		return 0
 	}
-	return float64(w.TCMisses) * 1000 / float64(w.Instructions)
+	return r.Frontend.Suppliers[0].Hits
 }
+
+// PreconSupplied returns the demanded traces found in the
+// preconstruction buffers: the hits of every supplier behind the trace
+// cache.
+func (r Result) PreconSupplied() uint64 {
+	var n uint64
+	for i := 1; i < len(r.Frontend.Suppliers); i++ {
+		n += r.Frontend.Suppliers[i].Hits
+	}
+	return n
+}
+
+// TCMisses returns the demanded traces built by the slow path.
+func (r Result) TCMisses() uint64 { return r.Frontend.Slow.Builds }
+
+// SlowPathInstrs returns the instructions supplied by the i-cache.
+func (r Result) SlowPathInstrs() uint64 { return r.Frontend.Slow.Instrs }
+
+// SlowICAccesses returns the slow path's i-cache line accesses.
+func (r Result) SlowICAccesses() uint64 { return r.Frontend.Slow.ICAccesses }
+
+// SlowICMisses returns the slow path's i-cache misses.
+func (r Result) SlowICMisses() uint64 { return r.Frontend.Slow.ICMisses }
+
+// InstrsFromICMisses returns the instructions supplied under an
+// i-cache miss.
+func (r Result) InstrsFromICMisses() uint64 { return r.Frontend.Slow.InstrsFromICMisses }
+
+// SlowBranchMisp returns the slow path's bimodal, RAS and target
+// mispredictions.
+func (r Result) SlowBranchMisp() uint64 { return r.Frontend.Slow.BranchMisp }
 
 // TCMissPerKI returns trace cache misses per 1000 instructions, the
 // paper's Figure 5 metric. A demanded trace supplied by the
 // preconstruction buffers is a hit.
-func (r Result) TCMissPerKI() float64 {
-	if r.Instructions == 0 {
-		return 0
-	}
-	return float64(r.TCMisses) * 1000 / float64(r.Instructions)
-}
+func (r Result) TCMissPerKI() float64 { return r.perKI(r.TCMisses()) }
 
 // ICacheInstrsPerKI returns instructions supplied by the i-cache per
 // 1000 instructions (Table 1).
-func (r Result) ICacheInstrsPerKI() float64 {
-	if r.Instructions == 0 {
-		return 0
-	}
-	return float64(r.SlowPathInstrs) * 1000 / float64(r.Instructions)
-}
+func (r Result) ICacheInstrsPerKI() float64 { return r.perKI(r.SlowPathInstrs()) }
 
 // ICacheMissesPerKI returns total i-cache misses per 1000 instructions,
 // including misses induced by the preconstruction engine (Table 2).
-func (r Result) ICacheMissesPerKI() float64 {
-	if r.Instructions == 0 {
-		return 0
-	}
-	return float64(r.TotalICMisses) * 1000 / float64(r.Instructions)
-}
+func (r Result) ICacheMissesPerKI() float64 { return r.perKI(r.TotalICMisses) }
 
 // InstrsFromICMissesPerKI returns instructions supplied by i-cache
 // misses per 1000 instructions (Table 3).
-func (r Result) InstrsFromICMissesPerKI() float64 {
+func (r Result) InstrsFromICMissesPerKI() float64 { return r.perKI(r.InstrsFromICMisses()) }
+
+// perKI scales a count to events per 1000 committed instructions.
+func (r Result) perKI(n uint64) float64 {
 	if r.Instructions == 0 {
 		return 0
 	}
-	return float64(r.InstrsFromICMisses) * 1000 / float64(r.Instructions)
+	return float64(n) * 1000 / float64(r.Instructions)
 }
 
 // IPC returns retired instructions per cycle.
@@ -156,8 +155,8 @@ const (
 // Simulator is one configured trace processor bound to a program image.
 // The fetch side — trace suppliers, slow-path port, predictors, and the
 // preconstruction engine — lives in frontend.Frontend; the simulator
-// contributes wiring and timing: fetch/retire bookkeeping, the optional
-// full-timing backend, and windowed measurement.
+// contributes wiring and timing: fetch/retire bookkeeping and the
+// optional full-timing backend.
 type Simulator struct {
 	cfg Config
 	im  *program.Image
@@ -183,8 +182,6 @@ type Simulator struct {
 	// rather than as if the port were always free.
 	idleSum    uint64
 	elapsedSum uint64
-
-	window WindowStat // accumulating current window (WindowInstrs > 0)
 }
 
 // ErrRunTwice is returned when Run, RunStream or StartChunked is called
@@ -290,10 +287,9 @@ func (s *Simulator) Run(budget uint64) (Result, error) {
 	return s.RunStream(st, budget)
 }
 
-// RunStream drives the simulator from a recorded stream: the stream is
-// decoded into chunks (emulator.ChunkedReplayer, decode overlapping
-// consumption), segmented with the simulator's own selection rules, and
-// every demanded trace is stepped through RunTrace. This is the
+// RunStream drives the simulator from a recorded stream: trace.Walk
+// decodes and segments it with the simulator's own selection rules,
+// and every demanded trace is stepped through RunTrace. This is the
 // single-simulator loop; sweeps drive many simulators from one decode
 // through the harness's group driver. Like Run, RunStream may be called
 // once per Simulator.
@@ -301,24 +297,11 @@ func (s *Simulator) RunStream(st *emulator.Stream, budget uint64) (Result, error
 	if err := s.StartChunked(budget); err != nil {
 		return s.res, err
 	}
-	seg := trace.NewChunkSegmenter(s.cfg.Select)
-	cr := st.DecodeChunks(0)
-	defer cr.Close()
-	for done := false; !done; {
-		chunk, ok := cr.Next()
-		if !ok {
-			break
-		}
-		for len(chunk) > 0 && !done {
-			used, tr, dyns := seg.Feed(chunk)
-			if tr == nil {
-				break
-			}
-			chunk = chunk[used:]
-			done, _ = s.RunTrace(tr, dyns) // cannot fail: the run is open
-		}
-	}
-	if err := cr.Err(); err != nil {
+	err := trace.Walk(st, s.cfg.Select, func(tr *trace.Trace, dyns []emulator.Dyn) bool {
+		done, _ := s.RunTrace(tr, dyns) // cannot fail: the run is open
+		return !done
+	})
+	if err != nil {
 		return s.res, fmt.Errorf("pipeline: %w", err)
 	}
 	return s.Finish()
@@ -381,19 +364,7 @@ func (s *Simulator) finalize() { s.res = s.fold() }
 // the end-of-run finalize and the mid-run Snapshot are this one fold.
 func (s *Simulator) fold() Result {
 	res := s.res
-	fs := s.fe.Stats()
-	res.Frontend = fs
-	res.TCHits = fs.Suppliers[0].Hits
-	res.PreconSupplied = 0
-	for _, sp := range fs.Suppliers[1:] {
-		res.PreconSupplied += sp.Hits
-	}
-	res.TCMisses = fs.Slow.Builds
-	res.SlowPathInstrs = fs.Slow.Instrs
-	res.SlowICAccesses = fs.Slow.ICAccesses
-	res.SlowICMisses = fs.Slow.ICMisses
-	res.InstrsFromICMisses = fs.Slow.InstrsFromICMisses
-	res.SlowBranchMisp = fs.Slow.BranchMisp
+	res.Frontend = s.fe.Stats()
 	res.TotalICMisses = s.fe.TotalICMisses()
 	res.Precon = s.fe.PreconStats()
 	res.Pred = s.fe.PredStats()
@@ -435,18 +406,8 @@ func (s *Simulator) onTrace(tr *trace.Trace, dyns []emulator.Dyn) {
 	n := tr.Len()
 	s.res.Traces++
 	s.res.Instructions += uint64(n)
-	if s.cfg.WindowInstrs > 0 {
-		s.window.Instructions += uint64(n)
-	}
 
 	sup := s.fe.Supply(tr, dyns, s.fetchFree)
-	if sup.Hit {
-		if sup.Supplier > 0 {
-			s.window.PreconSupplied++
-		}
-	} else {
-		s.window.TCMisses++
-	}
 
 	// Frontend timing: redirects delay the fetch after a next-trace
 	// misprediction until the offending branch resolved.
@@ -498,11 +459,6 @@ func (s *Simulator) onTrace(tr *trace.Trace, dyns []emulator.Dyn) {
 	}
 	s.elapsedSum += retire - prevRetire
 	s.fe.Retire(sup.Demand, idle, dyns, prevRetire)
-
-	if s.cfg.WindowInstrs > 0 && s.window.Instructions >= s.cfg.WindowInstrs {
-		s.res.Windows = append(s.res.Windows, s.window)
-		s.window = WindowStat{}
-	}
 }
 
 // fastTrace processes one demanded trace in the fast-forward phase: the

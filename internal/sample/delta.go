@@ -17,13 +17,10 @@ import (
 // (trace.StoreStats.Live, Result.AdaptivePBShare) — so new counters
 // added to any component are interval-correct with no change here.
 
-// deltaResult returns end minus start, counter-wise. The Windows slice
-// is dropped: windows are positional within the whole run and have no
-// per-interval meaning.
+// deltaResult returns end minus start, counter-wise.
 func deltaResult(end, start pipeline.Result) pipeline.Result {
 	out := end
 	subCounters(reflect.ValueOf(&out).Elem(), reflect.ValueOf(start))
-	out.Windows = nil
 	return out
 }
 
@@ -32,7 +29,6 @@ func deltaResult(end, start pipeline.Result) pipeline.Result {
 func addResult(agg, delta pipeline.Result) pipeline.Result {
 	out := delta
 	addCounters(reflect.ValueOf(&out).Elem(), reflect.ValueOf(agg))
-	out.Windows = nil
 	return out
 }
 

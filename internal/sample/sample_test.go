@@ -87,26 +87,24 @@ func TestDeltaResult(t *testing.T) {
 	start := pipeline.Result{
 		Instructions:    1000,
 		Cycles:          400,
-		TCMisses:        10,
 		AdaptivePBShare: 0.25,
 		Frontend: frontend.Stats{Suppliers: []frontend.SupplierStats{
 			{Name: "trace-cache", Probes: 100, Hits: 90},
-		}},
+		}, Slow: frontend.SlowPathStats{Builds: 10}},
 	}
 	start.Intern.Live = 5
 	end := pipeline.Result{
 		Instructions:    1500,
 		Cycles:          600,
-		TCMisses:        14,
 		AdaptivePBShare: 0.5,
 		Frontend: frontend.Stats{Suppliers: []frontend.SupplierStats{
 			{Name: "trace-cache", Probes: 160, Hits: 140},
-		}},
+		}, Slow: frontend.SlowPathStats{Builds: 14}},
 	}
 	end.Intern.Live = 7
 
 	d := deltaResult(end, start)
-	if d.Instructions != 500 || d.Cycles != 200 || d.TCMisses != 4 {
+	if d.Instructions != 500 || d.Cycles != 200 || d.TCMisses() != 4 {
 		t.Errorf("counter deltas wrong: %+v", d)
 	}
 	if d.AdaptivePBShare != 0.5 || d.Intern.Live != 7 {

@@ -143,3 +143,30 @@ func (cs *ChunkSegmenter) Feed(chunk []emulator.Dyn) (used int, tr *Trace, dyns 
 	}
 	return len(chunk), nil, nil
 }
+
+// Walk decodes a recorded stream once and segments it under sel,
+// calling fn for every completed trace in commit order until fn
+// returns false or the stream ends. The trace and its dyns are
+// borrowed for the call only; clone the trace if it must escape. A
+// final partial trace never reaches fn. Walk returns the stream's
+// decode error, if any.
+func Walk(st *emulator.Stream, sel SelectConfig, fn func(*Trace, []emulator.Dyn) bool) error {
+	seg := NewChunkSegmenter(sel)
+	cr := st.DecodeChunks(0)
+	defer cr.Close()
+	for more := true; more; {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		for len(chunk) > 0 && more {
+			used, tr, dyns := seg.Feed(chunk)
+			if tr == nil {
+				break
+			}
+			chunk = chunk[used:]
+			more = fn(tr, dyns)
+		}
+	}
+	return cr.Err()
+}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"tracepre/internal/emulator"
@@ -9,7 +10,7 @@ import (
 
 // chunkRecord records one benchmark stream for the chunk-segmentation
 // tests.
-func chunkRecord(t *testing.T, name string, budget uint64) *emulator.Stream {
+func chunkRecord(t testing.TB, name string, budget uint64) *emulator.Stream {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {
@@ -55,6 +56,63 @@ func feedAll(t *testing.T, st *emulator.Stream, cfg SelectConfig, chunkLen int) 
 	return traces, dyns
 }
 
+// chunkSelects are the selection rules the chunk-segmentation
+// equivalence checks run under: the default and two that end traces
+// early.
+var chunkSelects = []SelectConfig{
+	DefaultSelectConfig(),
+	{MaxLen: 8, AlignMod: 4},
+	{MaxLen: 16, AlignMod: 2},
+}
+
+// segmenterOracle segments a replay of the stream with the
+// Builder-backed Segmenter: the reference trace sequence, with each
+// trace's dyns.
+func segmenterOracle(t testing.TB, st *emulator.Stream, cfg SelectConfig) (traces []*Trace, dyns [][]emulator.Dyn) {
+	t.Helper()
+	seg := NewSegmenter(cfg)
+	rp := st.Replay()
+	var pending []emulator.Dyn
+	for {
+		d, ok := rp.Next()
+		if !ok {
+			break
+		}
+		pending = append(pending, d)
+		if tr := seg.Push(d); tr != nil {
+			traces = append(traces, tr)
+			dyns = append(dyns, pending)
+			pending = nil
+		}
+	}
+	if err := rp.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return traces, dyns
+}
+
+// sameTraces fails unless the got sequence equals the oracle's, trace
+// for trace and dyn for dyn.
+func sameTraces(t testing.TB, label string, gotTr []*Trace, gotDy [][]emulator.Dyn, wantTr []*Trace, wantDy [][]emulator.Dyn) {
+	t.Helper()
+	if len(gotTr) != len(wantTr) {
+		t.Fatalf("%s: %d traces, want %d", label, len(gotTr), len(wantTr))
+	}
+	for i := range wantTr {
+		if !tracesEqual(gotTr[i], wantTr[i]) {
+			t.Fatalf("%s: trace %d differs:\nchunked   %v\nsegmenter %v", label, i, gotTr[i], wantTr[i])
+		}
+		if len(gotDy[i]) != len(wantDy[i]) {
+			t.Fatalf("%s: trace %d dyns %d, want %d", label, i, len(gotDy[i]), len(wantDy[i]))
+		}
+		for j := range wantDy[i] {
+			if gotDy[i][j] != wantDy[i][j] {
+				t.Fatalf("%s: trace %d dyn %d differs", label, i, j)
+			}
+		}
+	}
+}
+
 // TestChunkSegmenterMatchesSegmenter drives the chunked segmenter and
 // the Builder-backed Segmenter over the same recordings and requires
 // the identical trace sequence — including the dyn slices — at chunk
@@ -63,58 +121,91 @@ func feedAll(t *testing.T, st *emulator.Stream, cfg SelectConfig, chunkLen int) 
 // the production size).
 func TestChunkSegmenterMatchesSegmenter(t *testing.T) {
 	const budget = 30_000
-	cfgs := []SelectConfig{
-		DefaultSelectConfig(),
-		{MaxLen: 8, AlignMod: 4},
-		{MaxLen: 16, AlignMod: 2},
-	}
 	for _, name := range []string{"gcc", "compress"} {
 		st := chunkRecord(t, name, budget)
-		for _, cfg := range cfgs {
-			// Reference sequence from the Segmenter over a replay.
-			var wantTr []*Trace
-			var wantDy [][]emulator.Dyn
-			seg := NewSegmenter(cfg)
-			rp := st.Replay()
-			var pending []emulator.Dyn
-			for {
-				d, ok := rp.Next()
-				if !ok {
-					break
-				}
-				pending = append(pending, d)
-				if tr := seg.Push(d); tr != nil {
-					wantTr = append(wantTr, tr)
-					wantDy = append(wantDy, pending)
-					pending = nil
-				}
-			}
-			if err := rp.Err(); err != nil {
-				t.Fatal(err)
-			}
+		for _, cfg := range chunkSelects {
+			wantTr, wantDy := segmenterOracle(t, st, cfg)
 			for _, chunkLen := range []int{1, 17, 1000, emulator.DefaultChunkLen} {
 				gotTr, gotDy := feedAll(t, st, cfg, chunkLen)
-				if len(gotTr) != len(wantTr) {
-					t.Fatalf("%s cfg=%+v chunkLen=%d: %d traces, want %d",
-						name, cfg, chunkLen, len(gotTr), len(wantTr))
-				}
-				for i := range wantTr {
-					if !tracesEqual(gotTr[i], wantTr[i]) {
-						t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d differs:\nchunked   %v\nsegmenter %v",
-							name, cfg, chunkLen, i, gotTr[i], wantTr[i])
-					}
-					if len(gotDy[i]) != len(wantDy[i]) {
-						t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d dyns %d, want %d",
-							name, cfg, chunkLen, i, len(gotDy[i]), len(wantDy[i]))
-					}
-					for j := range wantDy[i] {
-						if gotDy[i][j] != wantDy[i][j] {
-							t.Fatalf("%s cfg=%+v chunkLen=%d: trace %d dyn %d differs",
-								name, cfg, chunkLen, i, j)
-						}
-					}
-				}
+				sameTraces(t, fmt.Sprintf("%s cfg=%+v chunkLen=%d", name, cfg, chunkLen),
+					gotTr, gotDy, wantTr, wantDy)
 			}
+		}
+	}
+}
+
+// FuzzChunkSegmenter splits a recorded stream into arbitrary chunks —
+// each input byte is one chunk length of 1..256 instructions, cycled
+// until the stream is consumed; no bytes means one chunk — and
+// requires the chunked segmenter to produce exactly the Builder-backed
+// Segmenter's traces and dyns under the selection rules sel picks.
+// Every chunk is copied into one reused buffer, so a chunk's backing
+// is overwritten once the next chunk arrives, as the decoder's pool
+// recycles it.
+func FuzzChunkSegmenter(f *testing.F) {
+	st := chunkRecord(f, "gcc", 20_000)
+	all := decodeAll(f, st)
+	type oracle struct {
+		traces []*Trace
+		dyns   [][]emulator.Dyn
+	}
+	oracles := make([]oracle, len(chunkSelects))
+	for i, cfg := range chunkSelects {
+		oracles[i].traces, oracles[i].dyns = segmenterOracle(f, st, cfg)
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0}, uint8(0))
+	f.Add([]byte{16, 2, 255}, uint8(1))
+	f.Add([]byte{7, 0, 0, 30, 15}, uint8(2))
+	f.Fuzz(func(t *testing.T, lens []byte, sel uint8) {
+		i := int(sel) % len(chunkSelects)
+		cs := NewChunkSegmenter(chunkSelects[i])
+		var (
+			buf   []emulator.Dyn
+			gotTr []*Trace
+			gotDy [][]emulator.Dyn
+		)
+		for k, rest := 0, all; len(rest) > 0; k++ {
+			n := len(rest)
+			if len(lens) > 0 {
+				n = min(n, int(lens[k%len(lens)])+1)
+			}
+			buf = append(buf[:0], rest[:n]...)
+			rest = rest[n:]
+			for chunk := buf; len(chunk) > 0; {
+				used, tr, ds := cs.Feed(chunk)
+				chunk = chunk[used:]
+				if tr == nil {
+					break
+				}
+				gotTr = append(gotTr, tr.Clone())
+				gotDy = append(gotDy, append([]emulator.Dyn(nil), ds...))
+			}
+		}
+		sameTraces(t, fmt.Sprintf("cfg=%+v lens=%v", chunkSelects[i], lens),
+			gotTr, gotDy, oracles[i].traces, oracles[i].dyns)
+	})
+}
+
+// TestWalkStops: Walk lends traces in stream order and stops as soon
+// as fn returns false.
+func TestWalkStops(t *testing.T) {
+	st := chunkRecord(t, "li", 5_000)
+	wantTr, _ := segmenterOracle(t, st, DefaultSelectConfig())
+	var got []*Trace
+	err := Walk(st, DefaultSelectConfig(), func(tr *Trace, _ []emulator.Dyn) bool {
+		got = append(got, tr.Clone())
+		return len(got) < 3
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("Walk called fn %d times after it returned false at 3", len(got))
+	}
+	for i := range got {
+		if !tracesEqual(got[i], wantTr[i]) {
+			t.Fatalf("trace %d: %v, want %v", i, got[i], wantTr[i])
 		}
 	}
 }
@@ -185,20 +276,7 @@ func TestChunkSegmenterReset(t *testing.T) {
 	st := chunkRecord(t, "gcc", 50_000)
 	cfg := DefaultSelectConfig()
 
-	// Decode the whole stream into one flat slice for offset slicing.
-	var all []emulator.Dyn
-	cr := st.DecodeChunks(0)
-	for {
-		chunk, ok := cr.Next()
-		if !ok {
-			break
-		}
-		all = append(all, chunk...)
-	}
-	if err := cr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	cr.Close()
+	all := decodeAll(t, st)
 
 	segment := func(cs *ChunkSegmenter, in []emulator.Dyn) []*Trace {
 		var out []*Trace
@@ -238,4 +316,23 @@ func TestChunkSegmenterReset(t *testing.T) {
 			}
 		}
 	}
+}
+
+// decodeAll decodes the whole stream into one flat slice.
+func decodeAll(t testing.TB, st *emulator.Stream) []emulator.Dyn {
+	t.Helper()
+	var all []emulator.Dyn
+	cr := st.DecodeChunks(0)
+	defer cr.Close()
+	for {
+		chunk, ok := cr.Next()
+		if !ok {
+			break
+		}
+		all = append(all, chunk...)
+	}
+	if err := cr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return all
 }
