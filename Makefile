@@ -54,9 +54,11 @@ bench:
 # numbers). The steady-state allocation contracts run here too — the
 # trace store's intern/release round, the chunked replay loop, and the
 # chunk-buffer pool — plus the group driver's correctness gates:
-# decode-once counting, full-Result equivalence of every group member
-# against the same cell run as a group of one, and stream-cache
-# accounting untouched by decoded chunks.
+# decode-once counting, the decode-work bound of a seeking sampled
+# group (counted instructions, never wall time), full-Result
+# equivalence of every group member against the same cell run as a
+# group of one, stream-cache accounting untouched by decoded chunks,
+# and sampled groups equal to the seek-free linear driver.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Observe|RegionChurn|U32Set|LineSet|AddrIndex' \
 		-benchtime 1x -benchmem ./internal/precon/
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/isa/
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzStreamDecode -fuzztime 30s ./internal/emulator/
 
 clean:
 	$(GO) clean ./...

@@ -26,6 +26,15 @@ var chunkPool = sync.Pool{
 
 var chunkAllocs atomic.Uint64
 
+// decodedInstrs counts instructions decoded by ChunkedReplayers,
+// process-wide, added once per chunk.
+var decodedInstrs atomic.Uint64
+
+// DecodedInstrs reports how many instructions ChunkedReplayers have
+// decoded process-wide. Unlike wall time it does not depend on the
+// host, so tests can gate decode work on it.
+func DecodedInstrs() uint64 { return decodedInstrs.Load() }
+
 // ChunkBufAllocs reports how many chunk decode buffers have been
 // allocated process-wide (pool misses). Once a steady run-replay cycle
 // is warm the pool serves every run and the counter stops moving; the
@@ -60,6 +69,13 @@ type ChunkedReplayer struct {
 // DefaultChunkLen). Decoding starts immediately on a background
 // goroutine; the first chunk is typically ready before the caller asks.
 func (s *Stream) DecodeChunks(chunkLen int) *ChunkedReplayer {
+	return s.DecodeChunksFrom(0, chunkLen)
+}
+
+// DecodeChunksFrom is DecodeChunks starting at instruction pos (see
+// ReplayFrom): at a sync position (SyncBefore) decoding starts without
+// touching the stream before it.
+func (s *Stream) DecodeChunksFrom(pos uint64, chunkLen int) *ChunkedReplayer {
 	if chunkLen <= 0 {
 		chunkLen = DefaultChunkLen
 	}
@@ -77,17 +93,19 @@ func (s *Stream) DecodeChunks(chunkLen int) *ChunkedReplayer {
 		cr.bufs[i] = bufp
 		cr.free <- (*bufp)[:0]
 	}
-	go cr.decode(s.Replay(), chunkLen)
+	go cr.decode(s, pos, chunkLen)
 	return cr
 }
 
-// decode runs on its own goroutine: it fills free buffers from the
-// replayer and hands them to the consumer until the stream ends, an
-// error occurs, or Close asks it to stop. cr.err is written before
-// filled is closed, so the consumer's end-of-stream observation
-// happens-after the error store.
-func (cr *ChunkedReplayer) decode(rp *Replayer, chunkLen int) {
+// decode runs on its own goroutine: it positions a replayer at pos,
+// then fills free buffers from it and hands them to the consumer until
+// the stream ends, an error occurs, or Close asks it to stop. cr.err is
+// written before filled is closed, so the consumer's end-of-stream
+// observation happens-after the error store.
+func (cr *ChunkedReplayer) decode(s *Stream, pos uint64, chunkLen int) {
 	defer close(cr.filled)
+	rp := s.ReplayFrom(pos)
+	decodedInstrs.Add(rp.seq - min(rp.seq, s.SyncBefore(pos))) // the gap from the sync entry
 	for {
 		var buf []Dyn
 		select {
@@ -100,6 +118,7 @@ func (cr *ChunkedReplayer) decode(rp *Replayer, chunkLen int) {
 		for k < chunkLen && rp.NextInto(&buf[k]) {
 			k++
 		}
+		decodedInstrs.Add(uint64(k))
 		if k > 0 {
 			select {
 			case cr.filled <- buf[:k]:

@@ -3,6 +3,8 @@ package emulator
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
+	"unsafe"
 
 	"tracepre/internal/isa"
 	"tracepre/internal/program"
@@ -15,6 +17,9 @@ import (
 // from the immutable program image during replay. Typical encodings run
 // well under 2 bytes per instruction, far below the 8-byte budget.
 //
+// A sync index makes the stream seekable: a decoder can start at any
+// indexed position instead of at instruction 0 (see SyncInterval).
+//
 // A Stream is immutable once sealed and safe to share across goroutines;
 // each concurrent consumer gets its own Replayer.
 type Stream struct {
@@ -24,6 +29,31 @@ type Stream struct {
 	taken []byte // conditional branch outcomes, bit-packed in commit order
 	nbits uint64 // bits used in taken
 	aux   []byte // varint deltas: mem addresses and indirect targets, in commit order
+	sync  []syncEntry
+}
+
+// SyncInterval is the spacing of the sync index: the Recorder adds an
+// entry at the first universal trace start at or after every multiple
+// of SyncInterval instructions.
+//
+// A universal trace start is the stream start or the position right
+// after an indirect jump (OpJr, OpJalr). Trace selection ends a trace
+// at every return and indirect jump whatever its SelectConfig, and a
+// fresh trace carries no segmenter state, so such a position starts a
+// trace under every selection rule: a consumer that begins decoding
+// there, with a freshly reset segmenter, sees exactly the traces a
+// consumer that decoded from instruction 0 sees from that point on.
+const SyncInterval = 1 << 16
+
+// syncEntry is the complete replay state at one indexed position: the
+// PC and the read cursors and delta base of the two dynamic-bit
+// streams.
+type syncEntry struct {
+	seq     uint64 // position: instructions before it
+	bitPos  uint64 // taken-bit index
+	auxPos  uint64 // aux byte offset
+	pc      uint32
+	lastMem uint32 // memory-address delta base
 }
 
 // Len returns the number of recorded instructions.
@@ -32,9 +62,28 @@ func (s *Stream) Len() uint64 { return s.n }
 // Image returns the program image the stream was recorded from.
 func (s *Stream) Image() *program.Image { return s.im }
 
-// Bytes returns the encoded size of the stream in bytes (excluding the
-// shared program image).
-func (s *Stream) Bytes() int { return len(s.taken) + len(s.aux) + 32 }
+// Bytes returns the encoded size of the stream in bytes, sync index
+// included (excluding the shared program image).
+func (s *Stream) Bytes() int {
+	return len(s.taken) + len(s.aux) + len(s.sync)*int(unsafe.Sizeof(syncEntry{})) + 32
+}
+
+// SyncBefore returns the last indexed position at or before n: a
+// universal trace start (see SyncInterval) from which ReplayFrom and
+// DecodeChunksFrom decode without touching the stream before it. It
+// returns 0 when no entry lies at or before n.
+func (s *Stream) SyncBefore(n uint64) uint64 {
+	if i := s.syncIndex(n); i >= 0 {
+		return s.sync[i].seq
+	}
+	return 0
+}
+
+// syncIndex returns the index of the last sync entry at or before n,
+// or -1.
+func (s *Stream) syncIndex(n uint64) int {
+	return sort.Search(len(s.sync), func(i int) bool { return s.sync[i].seq > n }) - 1
+}
 
 // BytesPerInstr returns the amortized encoding cost.
 func (s *Stream) BytesPerInstr() float64 {
@@ -53,9 +102,9 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // Recorder captures a committed instruction stream into a Stream. Feed
 // it every Dyn in commit order via Observe, then call Stream to seal.
 type Recorder struct {
-	s       Stream
-	lastMem uint32
-	started bool
+	s        Stream
+	lastMem  uint32
+	nextSync uint64 // position from which the next sync entry is due
 }
 
 // NewRecorder returns a Recorder for a program image.
@@ -66,9 +115,9 @@ func NewRecorder(im *program.Image) *Recorder {
 // Observe appends one committed instruction to the recording. Records
 // must arrive in commit order starting from the first instruction.
 func (r *Recorder) Observe(d Dyn) {
-	if !r.started {
+	if len(r.s.sync) == 0 { // the first instruction: index the stream start
 		r.s.entry = d.PC
-		r.started = true
+		r.addSync(d.PC)
 	}
 	switch d.Inst.Op {
 	case isa.OpLoad, isa.OpStore:
@@ -86,8 +135,27 @@ func (r *Recorder) Observe(d Dyn) {
 	case isa.OpJr, isa.OpJalr:
 		delta := int64(d.NextPC) - int64(d.PC+isa.WordSize)
 		r.s.aux = binary.AppendUvarint(r.s.aux, zigzag(delta))
+		r.s.n++
+		if r.s.n >= r.nextSync {
+			r.addSync(d.NextPC)
+		}
+		return
 	}
 	r.s.n++
+}
+
+// addSync indexes the current position, a universal trace start whose
+// first instruction is at pc, and schedules the next entry for the
+// following multiple of SyncInterval.
+func (r *Recorder) addSync(pc uint32) {
+	r.s.sync = append(r.s.sync, syncEntry{
+		seq:     r.s.n,
+		bitPos:  r.s.nbits,
+		auxPos:  uint64(len(r.s.aux)),
+		pc:      pc,
+		lastMem: r.lastMem,
+	})
+	r.nextSync = (r.s.n/SyncInterval + 1) * SyncInterval
 }
 
 // Stream seals and returns the recording. The Recorder must not be used
@@ -133,7 +201,47 @@ type Replayer struct {
 // stream. Replayers are independent: any number may consume the same
 // Stream concurrently.
 func (s *Stream) Replay() *Replayer {
-	return &Replayer{s: s, pc: s.entry, code: s.im.Insts(), base: s.im.Base}
+	return s.replayAt(syncEntry{pc: s.entry})
+}
+
+// ReplayFrom returns a fresh Replayer positioned at instruction n: it
+// starts at SyncBefore(n) and decodes the gap up to n, so a sync
+// position costs nothing to reach. Decoding from n yields exactly the
+// records a Replayer started at 0 yields from its n-th on, Seq
+// included. A position past the end of the stream, or a sync entry
+// that does not fit the stream, is reported by Err.
+func (s *Stream) ReplayFrom(n uint64) *Replayer {
+	if n > s.n {
+		return &Replayer{s: s, err: fmt.Errorf("emulator: seek to %d past end of stream (%d instructions)", n, s.n)}
+	}
+	e := syncEntry{pc: s.entry}
+	if i := s.syncIndex(n); i >= 0 {
+		e = s.sync[i]
+	}
+	r := s.replayAt(e)
+	var d Dyn
+	for r.seq < n {
+		if !r.NextInto(&d) {
+			break
+		}
+	}
+	return r
+}
+
+// replayAt returns a Replayer positioned at e, or one whose Err reports
+// why e, or the stream's dynamic-bit buffers, cannot be decoded.
+func (s *Stream) replayAt(e syncEntry) *Replayer {
+	r := &Replayer{s: s, pc: e.pc, seq: e.seq, bitPos: e.bitPos, lastMem: e.lastMem,
+		code: s.im.Insts(), base: s.im.Base}
+	switch {
+	case s.nbits > uint64(len(s.taken))*8:
+		r.err = fmt.Errorf("emulator: corrupt stream: %d branch bits in %d bytes", s.nbits, len(s.taken))
+	case e.seq > s.n || e.bitPos > s.nbits || e.auxPos > uint64(len(s.aux)):
+		r.err = fmt.Errorf("emulator: corrupt stream: sync entry %+v outside the stream", e)
+	default:
+		r.auxPos = int(e.auxPos)
+	}
+	return r
 }
 
 // readAux decodes the next varint delta from the aux buffer.

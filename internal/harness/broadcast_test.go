@@ -4,6 +4,9 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"tracepre/internal/emulator"
+	"tracepre/internal/sample"
 )
 
 // broadcastMatrix is the shape of the group bit-identity check: the
@@ -184,5 +187,42 @@ func TestRunGroups(t *testing.T) {
 		if a.Bench != b.Bench || a.Seed != b.Seed {
 			t.Errorf("group %v mixes streams: %s/%d and %s/%d", idx, a.Bench, a.Seed, b.Bench, b.Seed)
 		}
+	}
+}
+
+// TestBroadcastSeekDecodeWork pins the seek's saving on the
+// host-independent decode-work counter: a sampled group whose periods
+// are mostly raw stretch decodes no more than it feeds its simulators
+// plus one sync interval (and a few chunks of read-ahead) per period,
+// and still counts as one decode pass. Without Jitter each period has
+// a single raw stretch; a jittered one has two (the period's tail and
+// the next period's head) and may seek twice.
+func TestBroadcastSeekDecodeWork(t *testing.T) {
+	m := broadcastMatrix()
+	m.Budget = 2_000_000
+	plan := sample.Plan{Detail: 2_000, Warm: 3_000, Skip: 400_000, WarmModel: true, ModelWarm: 24_000}
+	ctx := context.Background()
+	if _, err := Run(ctx, m, WithSampling(plan)); err != nil {
+		t.Fatal(err) // records the stream outside the counted window
+	}
+
+	passes, decoded := DecodePasses(), emulator.DecodedInstrs()
+	g, err := Run(ctx, m, WithSampling(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes, decoded = DecodePasses()-passes, emulator.DecodedInstrs()-decoded
+	if passes != 1 {
+		t.Errorf("sampled group took %d decode passes, want 1", passes)
+	}
+	s := g.Cells[0].Sample
+	periods := s.Streamed/plan.Period() + 1
+	// Fed: detailed warm-up and measurement, plus each period's
+	// warm-model tail, each phase boundary off by up to one trace.
+	fed := s.WarmInstrs + s.MeasuredInstrs + periods*(plan.ModelWarm+3*16)
+	bound := fed + periods*(emulator.SyncInterval+4*emulator.DefaultChunkLen)
+	if decoded > bound {
+		t.Errorf("decoded %d instructions of a %d-instruction stream, want at most %d (fed %d + %d periods of one sync interval)",
+			decoded, s.Streamed, bound, fed, periods)
 	}
 }

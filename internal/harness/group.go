@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"sync/atomic"
 
@@ -12,8 +13,9 @@ import (
 	"tracepre/internal/trace"
 )
 
-// decodePasses counts full decode passes over recorded streams: one per
-// group. The decode-once contract — a group of N cells performs exactly
+// decodePasses counts decode passes over recorded streams: one per
+// group, a seek continuing the group's pass rather than opening
+// another. The decode-once contract — a group of N cells performs exactly
 // 1 pass, not N — is asserted against this counter by
 // TestBroadcastDecodesOnce.
 var decodePasses atomic.Uint64
@@ -65,22 +67,44 @@ type group struct {
 
 // runGroup executes cells that share one recorded stream — a sweep's
 // (bench, seed) group, or a single cell as a group of one. The stream
-// is decoded into chunks exactly once; members are split by
+// is decoded into chunks in one pass; members are split by
 // SelectConfig and each split segments every chunk once. Under a
 // sampling plan each split's leader decides for the whole split
-// whether an instruction stretch is skipped raw or fed as traces. A
-// member that finishes early — its budget consumed, or adaptive
-// sampling met its target — goes dormant while the rest keep
-// consuming.
+// whether an instruction stretch is skipped raw or fed as traces, and
+// the group seeks past raw stretches every split skips. A member that
+// finishes early — its budget consumed, or adaptive sampling met its
+// target — goes dormant while the rest keep consuming.
 func runGroup(ctx context.Context, m Matrix, cells []*Cell, plan *sample.Plan) error {
+	g, st, err := newGroup(m, cells, plan)
+	if err != nil {
+		return err
+	}
+	// Label CPU profiles so -cpuprofile output from cmd/tablegen
+	// attributes time per group.
+	point := cells[0].Point.Name
+	if len(cells) > 1 {
+		point = fmt.Sprintf("group(%d)", len(cells))
+	}
+	pprof.Do(ctx, pprof.Labels("bench", g.bench, "point", point), func(ctx context.Context) {
+		err = g.drive(ctx, st)
+	})
+	if err != nil {
+		return err
+	}
+	return g.finish()
+}
+
+// newGroup fetches the cells' recorded stream and opens one simulator
+// per cell, split by SelectConfig.
+func newGroup(m Matrix, cells []*Cell, plan *sample.Plan) (*group, *emulator.Stream, error) {
 	bench, seed := cells[0].Bench, cells[0].Seed
 	im, err := ImageSeed(bench, seed)
 	if err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
+		return nil, nil, fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
 	}
 	st, err := streams.get(streamKey{name: bench, seed: seed, budget: m.Budget}, im)
 	if err != nil {
-		return fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
+		return nil, nil, fmt.Errorf("harness: %s: %s: %w", m.Name, bench, err)
 	}
 
 	g := &group{m: m, bench: bench, plan: plan}
@@ -99,7 +123,7 @@ func runGroup(ctx context.Context, m Matrix, cells []*Cell, plan *sample.Plan) e
 			}
 		}
 		if err != nil {
-			return g.cellErr(mb, err)
+			return nil, nil, g.cellErr(mb, err)
 		}
 		sg := bySel[cfg.Select]
 		if sg == nil {
@@ -110,29 +134,28 @@ func runGroup(ctx context.Context, m Matrix, cells []*Cell, plan *sample.Plan) e
 		sg.members = append(sg.members, mb)
 		sg.live++
 	}
-
-	// Label CPU profiles so -cpuprofile output from cmd/tablegen
-	// attributes time per group.
-	point := cells[0].Point.Name
-	if len(cells) > 1 {
-		point = fmt.Sprintf("group(%d)", len(cells))
-	}
-	pprof.Do(ctx, pprof.Labels("bench", bench, "point", point), func(ctx context.Context) {
-		err = g.drive(ctx, st)
-	})
-	if err != nil {
-		return err
-	}
-	return g.finish()
+	return g, st, nil
 }
 
-// drive decodes the stream once and feeds each chunk to every select
-// group until all members are done.
+// drive decodes the stream in one pass and feeds each chunk to every
+// select group until all members are done. A sampled group seeks: at a
+// chunk boundary where every live split is inside a raw stretch, it
+// jumps to the last sync position before the nearest stretch end
+// instead of decoding and segmenting its way there.
 func (g *group) drive(ctx context.Context, st *emulator.Stream) error {
 	decodePasses.Add(1)
 	cr := st.DecodeChunks(0)
-	defer cr.Close()
+	defer func() { cr.Close() }()
+	var pos uint64 // stream offset of the next chunk
 	for g.live() {
+		if s, ok := g.seekTarget(st, pos); ok {
+			if err := g.seek(s); err != nil {
+				return err
+			}
+			cr.Close()
+			cr, pos = st.DecodeChunksFrom(s, 0), s
+			continue
+		}
 		chunk, ok := cr.Next()
 		if !ok {
 			break
@@ -140,6 +163,7 @@ func (g *group) drive(ctx context.Context, st *emulator.Stream) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		pos += uint64(len(chunk))
 		for _, sg := range g.sels {
 			var err error
 			if g.plan != nil {
@@ -154,6 +178,52 @@ func (g *group) drive(ctx context.Context, st *emulator.Stream) error {
 	}
 	if err := cr.Err(); err != nil {
 		return fmt.Errorf("harness: %s: %s: %w", g.m.Name, g.bench, err)
+	}
+	return nil
+}
+
+// seekTarget returns the sync position the group can jump to from
+// stream offset pos, and whether it lies ahead of pos. Only a sampled
+// group seeks, and only when every live split is in a raw stretch: the
+// target is the last sync position at or before the nearest stretch
+// end.
+func (g *group) seekTarget(st *emulator.Stream, pos uint64) (uint64, bool) {
+	if g.plan == nil {
+		return 0, false
+	}
+	end := uint64(math.MaxUint64)
+	for _, sg := range g.sels {
+		if sg.live == 0 {
+			continue
+		}
+		ld := sg.leader().runner
+		raw := ld.RawFFRemaining()
+		if raw == 0 {
+			return 0, false
+		}
+		end = min(end, ld.Pos()+raw)
+	}
+	s := st.SyncBefore(end)
+	return s, s > pos
+}
+
+// seek moves every live split to sync position s, ahead of the
+// decoded stream: each drops its partial trace and its members take
+// one raw skip up to s. That equals the per-trace skips it replaces,
+// bit for bit. Every trace in the skipped stretch lies inside one raw
+// fast-forward stretch, so each would have been withheld from the
+// simulators. A sync position starts a trace under every SelectConfig,
+// so the segmenter, reset there, resumes on the boundaries a linear
+// pass would have reached.
+func (g *group) seek(s uint64) error {
+	for _, sg := range g.sels {
+		if sg.live == 0 {
+			continue
+		}
+		sg.segmenting = false // feedSampled resets the segmenter
+		if err := g.stepSampled(sg, s-sg.leader().runner.Pos(), nil, nil); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -198,9 +268,9 @@ func (g *group) feedFull(sg *selectGroup, chunk []emulator.Dyn) error {
 // decoded but never segmented — and the segmenter restarts at warm
 // entry. With a ModelWarm tail, segmentation runs continuously so trace
 // boundaries stay aligned with a full run's, and the traces of a raw
-// stretch are merely withheld from the simulators (SkipRaw): the split
-// pays one segmentation for the raw head instead of one warm model per
-// member.
+// stretch are merely withheld from the simulators (SkipRaw). Either
+// way this is the raw stretch's first and last few chunks only: drive
+// seeks past the rest.
 func (g *group) feedSampled(sg *selectGroup, chunk []emulator.Dyn) error {
 	for len(chunk) > 0 && sg.live > 0 {
 		ld := sg.leader().runner

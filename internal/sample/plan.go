@@ -64,9 +64,9 @@ type Plan struct {
 	// ModelWarm bounds WarmModel to the tail of each fast-forward
 	// stretch: only the last ModelWarm instructions before the next
 	// detailed warm-up run through the warm model; the rest of the skip
-	// is raw — decoded but never segmented or fed to the simulator, so
-	// a broadcast group pays for it once, not once per member (0 runs
-	// the warm model over the whole skip). Trainable state re-converges
+	// is raw — never fed to the simulator, and mostly not even decoded:
+	// the group driver seeks past it (0 runs the warm model over the
+	// whole skip). Trainable state re-converges
 	// quickly — saturating predictor counters, cache tags and trace
 	// cache contents churn at working-set speed — so a tail a few times
 	// the detailed warm-up long recovers the warm-model fidelity at a

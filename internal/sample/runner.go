@@ -230,6 +230,10 @@ func (r *Runner) Phase() pipeline.Phase { return r.sim.Phase() }
 // ones sit dormant.
 func (r *Runner) Done() bool { return r.done }
 
+// Pos returns the stream offset of the next instruction the runner
+// expects: the committed instructions consumed so far.
+func (r *Runner) Pos() uint64 { return r.pos }
+
 // Remaining returns the committed-instruction budget left.
 func (r *Runner) Remaining() uint64 { return r.budget - r.pos }
 
@@ -252,7 +256,9 @@ func (r *Runner) FFRemaining() uint64 {
 // does with the stretch: WarmModel=false drivers skip segmentation
 // itself (and reset the segmenter at warm entry), while a ModelWarm
 // driver keeps segmenting — traces stay aligned with the full run's —
-// and merely withholds them from the simulator.
+// and merely withholds them from the simulator. Either driver may
+// instead cover a stretch with one SkipRaw when it resumes at a trace
+// start every SelectConfig shares (emulator.Stream.SyncBefore).
 func (r *Runner) RawFFRemaining() uint64 {
 	if r.done || (r.seg != segFF && r.seg != segFFTail) {
 		return 0
