@@ -52,8 +52,10 @@ bench:
 # CI canary that the benchmarks build and run (see BENCH_precon.json,
 # BENCH_interning.json and BENCH_broadcast.json for how to take real
 # numbers). The steady-state allocation contracts run here too — the
-# trace store's intern/release round, the chunked replay loop, and the
-# chunk-buffer pool — plus the group driver's correctness gates:
+# trace store's intern/release round, the chunked replay loop, the
+# chunk-buffer pool, and one backend dispatch (zero allocations; the
+# dispatch microbenchmark runs once beside it) — plus the group
+# driver's correctness gates:
 # decode-once counting, the decode-work bound of a seeking sampled
 # group (counted instructions, never wall time), full-Result
 # equivalence of every group member against the same cell run as a
@@ -68,6 +70,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure5Sampled' -benchtime 1x -benchmem .
 	$(GO) test -run TestInternSteadyStateAllocs -count 1 ./internal/trace/
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
+	$(GO) test -run 'TestDispatchSteadyStateAllocs' -bench 'BenchmarkDispatch$$' \
+		-benchtime 1x -benchmem -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestChunkBufPoolSteadyState' -count 1 ./internal/emulator/
 	$(GO) test -run 'TestBroadcast' -count 1 ./internal/harness/
 	$(GO) test -run 'TestFastForwardSteadyStateAllocs' -count 1 ./internal/pipeline/
@@ -98,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzStreamDecode -fuzztime 30s ./internal/emulator/
+	$(GO) test -fuzz FuzzDispatch -fuzztime 30s ./internal/pipeline/
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"tracepre/internal/cache"
 	"tracepre/internal/emulator"
 	"tracepre/internal/isa"
@@ -52,14 +54,21 @@ type backend struct {
 // so the hot path does not allocate. Trace selection caps traces at 16
 // instructions (trace.SelectConfig.Validate), so fixed arrays suffice.
 type dispatchScratch struct {
-	order     [16]int
-	fusedOf   [16]int
-	prevStore [16]int
-	loadFloor [16]uint64
-	doneOf    [16]uint64
-	issuedAt  [16]uint64
-	issued    [16]bool
-	writer    [isa.NumRegs]int8 // reg -> producing slot in this trace, -1 none
+	order   [16]int
+	fusedOf [16]int
+	// base[i] is the earliest cycle slot i may issue given every source
+	// that is fixed for the trace: the PE start, the ARB floor of an
+	// earlier trace's store, and register values from earlier traces.
+	base [16]uint64
+	// deps[i][:depN[i]] are the in-trace slots slot i waits for: the
+	// store a load forwards from and its register producers. An
+	// instruction reads at most two registers and a load only one, so
+	// two entries suffice.
+	deps   [16][2]int8
+	depN   [16]uint8
+	doneOf [16]uint64
+	issued [16]bool
+	writer [isa.NumRegs]int8 // reg -> producing slot in this trace, -1 none
 	// Latest in-trace store per word address; with <= 16 entries a
 	// linear scan beats a map.
 	storeAddr [16]uint32
@@ -162,6 +171,11 @@ func (b *backend) latency(in isa.Inst, d emulator.Dyn, now uint64) uint64 {
 // dispatch executes one trace and returns its retirement cycle and the
 // completion cycle of its last control-flow instruction (which gates
 // mispredict redirects).
+//
+// One program-order pass resolves every slot's dependences (DESIGN
+// §15): sources fixed for the trace fold into base, in-trace producers
+// go to deps. The cycle loop then only compares issue and completion
+// cycles, and jumps over cycles in which nothing can issue.
 func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, preprocessed bool) (retire, resolve uint64) {
 	pe := int(b.k) % b.cfg.NumPEs
 	b.k++
@@ -203,104 +217,49 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 		}
 	}
 
-	// writer[r] = last slot in this trace writing register r, -1 none.
+	// The dependence pre-pass. writer[r] is the last slot before i
+	// writing r (each slot reads before its own write), so after the
+	// pass it is the trace's final writer of r, which publishing needs.
+	// A load depends on the latest earlier in-trace store to its word,
+	// else on the youngest in-flight store from earlier traces (the ARB
+	// state is fixed for the duration of this trace — stores publish at
+	// the end). Memory dependences apply even to constant-folded
+	// address computations; register ones do not.
 	writer := &scr.writer
 	for r := range writer {
 		writer[r] = -1
 	}
-	for i, in := range tr.Insts {
-		if rd, w := in.WritesReg(); w {
-			writer[rd] = int8(i)
-		}
-	}
-
-	// Memory dependences: prevStore[i] is the slot of the latest
-	// earlier in-trace store to the same word as load i (-1 if none);
-	// loadFloor[i] is the completion cycle of the youngest in-flight
-	// store from earlier traces to that word (the ARB state is fixed
-	// for the duration of this trace — stores publish at the end).
-	prevStore := scr.prevStore[:n]
-	loadFloor := scr.loadFloor[:n]
 	scr.storeN = 0
+	base := scr.base[:n]
+	deps := scr.deps[:n]
+	depN := scr.depN[:n]
 	for i, in := range tr.Insts {
-		prevStore[i] = -1
-		loadFloor[i] = 0
+		rdy := start
+		nd := 0
 		switch in.Op {
 		case isa.OpLoad:
 			if j, ok := scr.lastStoreTo(dyns[i].MemAddr &^ 3); ok {
-				prevStore[i] = j
+				deps[i][nd] = int8(j)
+				nd++
 				b.arbForwards++
 			} else if ar := b.arbReady(dyns[i].MemAddr); ar > start {
-				loadFloor[i] = ar
+				rdy = ar
 				b.arbForwards++
 			}
 		case isa.OpStore:
 			scr.noteStore(dyns[i].MemAddr&^3, i)
 		}
-	}
-	// firstWriter resolves whether a read at slot i sees an external
-	// value or an in-trace producer: the last writer before i.
-	producerOf := func(i int, r uint8) int {
-		p := -1
-		for j := 0; j < i; j++ {
-			if rd, w := tr.Insts[j].WritesReg(); w && rd == r {
-				p = j
-			}
-		}
-		return p
-	}
-
-	doneOf := scr.doneOf[:n]
-	issuedAt := scr.issuedAt[:n]
-	issued := scr.issued[:n]
-	for i := 0; i < n; i++ {
-		doneOf[i] = 0
-		issuedAt[i] = 0
-		issued[i] = false
-	}
-	remaining := n
-
-	readyAt := func(i int) (uint64, bool) {
-		in := tr.Insts[i]
-		rdy := start
-		// Memory dependences through the ARB apply even to
-		// constant-folded address computations.
-		if in.Op == isa.OpLoad {
-			if j := prevStore[i]; j >= 0 {
-				if !issued[j] {
-					return 0, false
+		if opt == nil || opt.Folded&(1<<uint(i)) == 0 {
+			var regs [2]uint8
+			for _, r := range in.ReadsRegs(regs[:0]) {
+				if r == isa.RegZero {
+					continue
 				}
-				if doneOf[j] > rdy {
-					rdy = doneOf[j]
+				if p := writer[r]; p >= 0 {
+					deps[i][nd] = p
+					nd++
+					continue
 				}
-			} else if loadFloor[i] > rdy {
-				rdy = loadFloor[i]
-			}
-		}
-		if opt != nil && opt.Folded&(1<<uint(i)) != 0 {
-			return rdy, true
-		}
-		fusedOnto := -1
-		if opt != nil && opt.FusedWith[i] >= 0 {
-			fusedOnto = int(opt.FusedWith[i])
-		}
-		var regScratch [4]uint8
-		for _, r := range in.ReadsRegs(regScratch[:0]) {
-			if r == isa.RegZero {
-				continue
-			}
-			if p := producerOf(i, r); p >= 0 {
-				if !issued[p] {
-					return 0, false
-				}
-				c := doneOf[p]
-				if p == fusedOnto {
-					c = issuedAt[p] // combined ALU: dependence is free
-				}
-				if c > rdy {
-					rdy = c
-				}
-			} else {
 				st := b.regReady[r]
 				c := st.cycle
 				if st.pe != pe && c > start {
@@ -311,15 +270,30 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 				}
 			}
 		}
-		return rdy, true
+		base[i] = rdy
+		depN[i] = uint8(nd)
+		if rd, w := in.WritesReg(); w {
+			writer[rd] = int8(i)
+		}
 	}
 
-	lastDone := start
-	resolve = start
-	for c := start; remaining > 0; c++ {
+	doneOf := scr.doneOf[:n]
+	issued := scr.issued[:n]
+	for i := 0; i < n; i++ {
+		doneOf[i] = 0
+		issued[i] = false
+	}
+	remaining := n
+	head := 0 // order[:head] has issued
+
+	for c := start; remaining > 0; {
 		slots := b.cfg.IssuePerPE
 		unissuedSeen := 0
-		for _, idx := range order {
+		// next is the earliest later cycle at which a slot checked this
+		// cycle becomes ready.
+		next := uint64(math.MaxUint64)
+	scan:
+		for _, idx := range order[head:] {
 			if issued[idx] {
 				continue
 			}
@@ -327,44 +301,63 @@ func (b *backend) dispatch(tr *trace.Trace, dyns []emulator.Dyn, ready uint64, p
 			if unissuedSeen > lookahead || slots == 0 {
 				break
 			}
-			if opt == nil || opt.FusedWith[idx] < 0 {
-				// Fused consumers issue with their producer below.
-				rdy, ok := readyAt(idx)
-				if !ok || rdy > c {
-					continue
+			if opt != nil && opt.FusedWith[idx] >= 0 {
+				continue // fused consumers issue with their producer below
+			}
+			rdy := base[idx]
+			for _, p := range deps[idx][:depN[idx]] {
+				if !issued[p] {
+					continue scan
 				}
-				issued[idx] = true
-				issuedAt[idx] = c
-				doneOf[idx] = c + b.latency(tr.Insts[idx], dyns[idx], c)
-				remaining--
-				slots--
-				if f := fusedOf[idx]; f >= 0 && !issued[f] {
-					issued[f] = true
-					issuedAt[f] = c
-					doneOf[f] = c + b.latency(tr.Insts[f], dyns[f], c)
-					remaining--
+				if doneOf[p] > rdy {
+					rdy = doneOf[p]
 				}
 			}
+			if rdy > c {
+				if rdy < next {
+					next = rdy
+				}
+				continue
+			}
+			issued[idx] = true
+			doneOf[idx] = c + b.latency(tr.Insts[idx], dyns[idx], c)
+			remaining--
+			slots--
+			if f := fusedOf[idx]; f >= 0 && !issued[f] {
+				issued[f] = true
+				doneOf[f] = c + b.latency(tr.Insts[f], dyns[f], c)
+				remaining--
+			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if doneOf[i] > lastDone {
-			lastDone = doneOf[i]
+		for head < n && issued[order[head]] {
+			head++
 		}
-		if tr.Insts[i].IsControl() && doneOf[i] > resolve {
-			resolve = doneOf[i]
+		// A cycle that issued nothing changed nothing, so every cycle
+		// before next would repeat its verdicts.
+		if slots == b.cfg.IssuePerPE && next != math.MaxUint64 {
+			c = next
+		} else {
+			c++
 		}
 	}
 
 	// Publish register results and store completions for later traces.
+	lastDone := start
+	resolve = start
+	for i, in := range tr.Insts {
+		if doneOf[i] > lastDone {
+			lastDone = doneOf[i]
+		}
+		if in.IsControl() && doneOf[i] > resolve {
+			resolve = doneOf[i]
+		}
+		if in.Op == isa.OpStore {
+			b.arbRecord(dyns[i].MemAddr, doneOf[i])
+		}
+	}
 	for r, idx := range writer {
 		if idx >= 0 {
 			b.regReady[r] = regStamp{cycle: doneOf[idx], pe: pe}
-		}
-	}
-	for i, in := range tr.Insts {
-		if in.Op == isa.OpStore {
-			b.arbRecord(dyns[i].MemAddr, doneOf[i])
 		}
 	}
 

@@ -13,16 +13,27 @@ import (
 )
 
 // randTrace builds a random but well-formed trace (straight-line PCs,
-// plausible register usage, memory ops with addresses).
+// plausible register usage, memory ops with addresses). It mixes in
+// control instructions (resolve gating, RegLink writes), Lui, and r0 as
+// source and destination; half the memory ops draw from a 16-word pool
+// every trace shares, so loads forward from earlier traces' stores
+// through the ARB.
 func randTrace(r *rand.Rand, start uint32) (*trace.Trace, []emulator.Dyn) {
 	n := 1 + r.Intn(16)
 	tr := &trace.Trace{}
 	var dyns []emulator.Dyn
 	for i := 0; i < n; i++ {
 		pc := start + uint32(i*4)
-		reg := func() uint8 { return uint8(1 + r.Intn(12)) }
+		reg := func() uint8 {
+			switch k := r.Intn(14); k {
+			case 13:
+				return isa.RegLink
+			default:
+				return uint8(k) // 0 is RegZero
+			}
+		}
 		var in isa.Inst
-		switch r.Intn(8) {
+		switch r.Intn(12) {
 		case 0:
 			in = isa.Inst{Op: isa.OpLoad, Rd: reg(), Ra: reg(), Imm: int32(r.Intn(64) * 4)}
 		case 1:
@@ -33,12 +44,30 @@ func randTrace(r *rand.Rand, start uint32) (*trace.Trace, []emulator.Dyn) {
 			in = isa.Inst{Op: isa.OpDiv, Rd: reg(), Ra: reg(), Rb: reg()}
 		case 4:
 			in = isa.Inst{Op: isa.OpShlI, Rd: reg(), Ra: reg(), Imm: int32(1 + r.Intn(4))}
+		case 5:
+			ops := [...]isa.Op{isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge}
+			in = isa.Inst{Op: ops[r.Intn(len(ops))], Ra: reg(), Rb: reg(), Imm: int32(r.Intn(32)-16) * 4}
+		case 6:
+			switch r.Intn(3) {
+			case 0:
+				in = isa.Inst{Op: isa.OpJal, Target: 0x8000}
+			case 1:
+				in = isa.Inst{Op: isa.OpJalr, Ra: reg()}
+			default:
+				in = isa.Inst{Op: isa.OpJr, Ra: reg()}
+			}
+		case 7:
+			in = isa.Inst{Op: isa.OpLui, Rd: reg(), Imm: int32(r.Intn(1 << 16))}
 		default:
 			in = isa.Inst{Op: isa.OpAdd, Rd: reg(), Ra: reg(), Rb: reg()}
 		}
 		d := emulator.Dyn{PC: pc, Inst: in, NextPC: pc + 4}
 		if in.Op == isa.OpLoad || in.Op == isa.OpStore {
-			d.MemAddr = 0x40000 + uint32(r.Intn(256))*4
+			if r.Intn(2) == 0 {
+				d.MemAddr = 0x40000 + uint32(r.Intn(16))*4
+			} else {
+				d.MemAddr = 0x40000 + uint32(r.Intn(256))*4
+			}
 		}
 		tr.PCs = append(tr.PCs, pc)
 		tr.Insts = append(tr.Insts, in)

@@ -377,3 +377,34 @@ func TestPreconEngineAccessor(t *testing.T) {
 		t.Error("engine absent when enabled")
 	}
 }
+
+// TestResultCheck passes a real full-timing run and rejects each
+// invariant broken in turn.
+func TestResultCheck(t *testing.T) {
+	cfg := DefaultConfig().WithTraceCache(64).WithPrecon(64)
+	cfg.FullTiming = true
+	cfg.PreprocEnabled = true
+	res, err := MustNew(loopImage(t, 500), cfg).Run(20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Check(cfg); err != nil {
+		t.Fatalf("real run fails its check: %v", err)
+	}
+	breaks := map[string]func(r *Result){
+		"unsupplied trace": func(r *Result) { r.Traces++ },
+		"probe chain": func(r *Result) {
+			r.Frontend.Suppliers = append([]frontend.SupplierStats(nil), r.Frontend.Suppliers...)
+			r.Frontend.Suppliers[0].Probes++
+		},
+		"slow i-cache misses": func(r *Result) { r.Frontend.Slow.ICMisses = r.TotalICMisses + 1 },
+		"beats issue width":   func(r *Result) { r.Cycles = r.Instructions / 16 },
+	}
+	for name, br := range breaks {
+		r := res
+		br(&r)
+		if r.Check(cfg) == nil {
+			t.Errorf("%s: Check passed", name)
+		}
+	}
+}

@@ -129,6 +129,51 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
+// Check verifies the accounting invariants of a run of cfg. It is
+// pure and off the hot path; tests call it on finished results.
+//
+//   - Supply is conserved: every demanded trace was supplied once
+//     (TCHits + PreconSupplied + TCMisses == Traces). The probe chain
+//     agrees: the first supplier saw every demand, each later one the
+//     demands its predecessor missed, and the slow path built the
+//     demands the last supplier missed.
+//   - The slow path's i-cache misses are among all i-cache misses.
+//   - With the full-timing backend, no run beats its issue width:
+//     NumPEs x IssuePerPE instructions a cycle, twice that with
+//     preprocessing (a combined-ALU pair shares one issue slot).
+func (r Result) Check(cfg Config) error {
+	var errs []error
+	if got := r.TCHits() + r.PreconSupplied() + r.TCMisses(); got != r.Traces {
+		errs = append(errs, fmt.Errorf("supply: %d TC hits + %d precon supplied + %d TC misses = %d, want %d traces",
+			r.TCHits(), r.PreconSupplied(), r.TCMisses(), got, r.Traces))
+	}
+	reached := r.Traces
+	for _, s := range r.Frontend.Suppliers {
+		if s.Probes != reached || s.Hits > s.Probes {
+			errs = append(errs, fmt.Errorf("supplier %s: %d probes, %d hits; %d demands reached it", s.Name, s.Probes, s.Hits, reached))
+			break
+		}
+		reached = s.Probes - s.Hits
+	}
+	if reached != r.Frontend.Slow.Builds {
+		errs = append(errs, fmt.Errorf("slow path: built %d traces, %d demands missed every supplier", r.Frontend.Slow.Builds, reached))
+	}
+	if r.SlowICMisses() > r.TotalICMisses {
+		errs = append(errs, fmt.Errorf("i-cache: %d slow-path misses exceed %d total", r.SlowICMisses(), r.TotalICMisses))
+	}
+	if cfg.FullTiming {
+		width := uint64(cfg.Backend.NumPEs * cfg.Backend.IssuePerPE)
+		if cfg.PreprocEnabled {
+			width *= 2
+		}
+		if floor := (r.Instructions + width - 1) / width; r.Cycles < floor {
+			errs = append(errs, fmt.Errorf("backend: %d instructions in %d cycles beats the %d-wide issue bound of %d cycles",
+				r.Instructions, r.Cycles, width, floor))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // Phase selects how the simulator processes demanded traces during a
 // sampled run (internal/sample). The zero value is PhaseMeasure — full
 // detail with statistics — so non-sampled runs behave identically with
