@@ -51,11 +51,15 @@ bench:
 # One iteration of the hot-path microbenchmarks: not a measurement, a
 # CI canary that the benchmarks build and run (see BENCH_precon.json,
 # BENCH_interning.json and BENCH_broadcast.json for how to take real
-# numbers). The steady-state allocation contracts run here too — the
-# trace store's intern/release round, the chunked replay loop, the
-# chunk-buffer pool, and one backend dispatch (zero allocations; the
-# dispatch microbenchmark runs once beside it) — plus the group
-# driver's correctness gates:
+# numbers). The stream-layer benchmarks run once too: recording and
+# functional emulation of one stream, timed by nobody. The steady-state
+# allocation contracts run here — the trace store's intern/release
+# round, the chunked replay loop, the chunk-buffer free list, one
+# backend dispatch (zero allocations; the dispatch microbenchmark runs
+# once beside it) and Optimize's fixed count per trace — plus the
+# recorder's gates (Record's streams byte-equal to the Dyn-at-a-time
+# record oracle on every benchmark and on hand-built edge cases, and
+# the FuzzRecord seed corpus) and the group driver's correctness gates:
 # decode-once counting, the decode-work bound of a seeking sampled
 # group (counted instructions, never wall time), full-Result
 # equivalence of every group member against the same cell run as a
@@ -68,6 +72,9 @@ bench-smoke:
 		-benchtime 1x -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'Figure5Broadcast' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'Figure5Sampled' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'StreamRecord|StreamEmulate' -benchtime 1x -benchmem .
+	$(GO) test -run 'TestRecord|FuzzRecord' -count 1 ./internal/emulator/
+	$(GO) test -run 'TestOptimizeAllocs' -count 1 ./internal/preproc/
 	$(GO) test -run TestInternSteadyStateAllocs -count 1 ./internal/trace/
 	$(GO) test -run 'TestChunkLoopSteadyStateAllocs' -count 1 ./internal/pipeline/
 	$(GO) test -run 'TestDispatchSteadyStateAllocs' -bench 'BenchmarkDispatch$$' \
@@ -102,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAssemble -fuzztime 30s ./internal/asm/
 	$(GO) test -fuzz FuzzChunkSegmenter -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzStreamDecode -fuzztime 30s ./internal/emulator/
+	$(GO) test -fuzz FuzzRecord -fuzztime 30s ./internal/emulator/
 	$(GO) test -fuzz FuzzDispatch -fuzztime 30s ./internal/pipeline/
 
 clean:

@@ -12,16 +12,42 @@ import (
 // goroutine and the consumer is amortized to noise.
 const DefaultChunkLen = 1024
 
-// chunkPool recycles the decode buffers behind ChunkedReplayer so a
-// sweep of thousands of runs reuses two buffers per concurrent decode
-// instead of allocating ~100 KiB of scratch per run. chunkAllocs counts
-// pool misses; the steady-state tests pin it flat once warm.
-var chunkPool = sync.Pool{
-	New: func() interface{} {
+// chunkBufs is the free list behind ChunkedReplayer's decode buffers,
+// so a sweep of thousands of runs reuses two buffers per concurrent
+// decode instead of allocating ~100 KiB of scratch per run. Unlike a
+// sync.Pool it is one list for every P and the garbage collector never
+// empties it, so a buffer put back is the next one taken whichever
+// goroutine asks: it holds at most two buffers per decoder that ever
+// ran at once. chunkAllocs counts the buffers allocated; the
+// steady-state tests pin it flat once warm.
+var chunkBufs struct {
+	sync.Mutex
+	free [][]Dyn
+}
+
+// getChunkBuf takes a buffer of capacity at least n from the free
+// list, allocating one when the list is empty or its top buffer is too
+// small.
+func getChunkBuf(n int) []Dyn {
+	chunkBufs.Lock()
+	var buf []Dyn
+	if k := len(chunkBufs.free); k > 0 {
+		buf = chunkBufs.free[k-1]
+		chunkBufs.free = chunkBufs.free[:k-1]
+	}
+	chunkBufs.Unlock()
+	if cap(buf) < n {
 		chunkAllocs.Add(1)
-		s := make([]Dyn, 0, DefaultChunkLen)
-		return &s
-	},
+		buf = make([]Dyn, 0, max(n, DefaultChunkLen))
+	}
+	return buf[:0]
+}
+
+// putChunkBuf returns a buffer to the free list.
+func putChunkBuf(buf []Dyn) {
+	chunkBufs.Lock()
+	chunkBufs.free = append(chunkBufs.free, buf[:0])
+	chunkBufs.Unlock()
 }
 
 var chunkAllocs atomic.Uint64
@@ -36,9 +62,9 @@ var decodedInstrs atomic.Uint64
 func DecodedInstrs() uint64 { return decodedInstrs.Load() }
 
 // ChunkBufAllocs reports how many chunk decode buffers have been
-// allocated process-wide (pool misses). Once a steady run-replay cycle
-// is warm the pool serves every run and the counter stops moving; the
-// allocation-regression tests assert exactly that.
+// allocated process-wide (free-list misses). Once a steady run-replay
+// cycle is warm the free list serves every run and the counter stops
+// moving; the allocation-regression tests assert exactly that.
 func ChunkBufAllocs() uint64 { return chunkAllocs.Load() }
 
 // ChunkedReplayer decodes a recorded Stream into fixed-size []Dyn
@@ -52,12 +78,12 @@ func ChunkBufAllocs() uint64 { return chunkAllocs.Load() }
 // from one goroutine. The returned chunk is borrowed — it is
 // invalidated by the next Next or by Close. Callers must Close on every
 // exit path (including early abandonment) to stop the decode goroutine
-// and return the buffers to the pool.
+// and return the buffers to the free list.
 type ChunkedReplayer struct {
 	filled chan []Dyn    // decoded chunks, decode goroutine -> consumer
 	free   chan []Dyn    // drained buffers, consumer -> decode goroutine
 	stop   chan struct{} // closed by Close to halt the decoder early
-	bufs   [2]*[]Dyn     // the pooled backing buffers, for Put on Close
+	bufs   [2][]Dyn      // the backing buffers, returned to the free list on Close
 	cur    []Dyn         // chunk currently held by the consumer
 	err    error         // decode error; written before filled closes
 	done   bool          // consumer observed end of stream
@@ -85,13 +111,8 @@ func (s *Stream) DecodeChunksFrom(pos uint64, chunkLen int) *ChunkedReplayer {
 		stop:   make(chan struct{}),
 	}
 	for i := range cr.bufs {
-		bufp := chunkPool.Get().(*[]Dyn)
-		if cap(*bufp) < chunkLen {
-			chunkAllocs.Add(1)
-			*bufp = make([]Dyn, 0, chunkLen)
-		}
-		cr.bufs[i] = bufp
-		cr.free <- (*bufp)[:0]
+		cr.bufs[i] = getChunkBuf(chunkLen)
+		cr.free <- cr.bufs[i]
 	}
 	go cr.decode(s, pos, chunkLen)
 	return cr
@@ -164,7 +185,7 @@ func (cr *ChunkedReplayer) Err() error {
 }
 
 // Close stops the decode goroutine (waiting for it to exit) and returns
-// the chunk buffers to the pool. Close is idempotent and must be called
+// the chunk buffers to the free list. Close is idempotent and must be called
 // on every exit path; after Close, previously returned chunks are
 // invalid and Next reports ok=false.
 func (cr *ChunkedReplayer) Close() {
@@ -182,9 +203,8 @@ func (cr *ChunkedReplayer) Close() {
 		cr.done = true
 	}
 	cr.cur = nil
-	for i, bufp := range cr.bufs {
-		*bufp = (*bufp)[:0]
-		chunkPool.Put(bufp)
+	for i, buf := range cr.bufs {
+		putChunkBuf(buf)
 		cr.bufs[i] = nil
 	}
 }

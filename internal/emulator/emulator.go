@@ -73,7 +73,7 @@ func (m *Memory) Pages() int { return len(m.pages) }
 
 // Emulator holds the architectural state of a running program.
 type Emulator struct {
-	// Step writes Regs, PC and seq on every instruction, and a sweep
+	// exec writes Regs on every instruction (Step PC and seq too), and a sweep
 	// records several streams at once on different cores. A cache line
 	// of padding at each end keeps those fields off any line shared
 	// with a heap neighbour, whatever size class the struct lands in.
@@ -108,15 +108,52 @@ func (e *Emulator) Committed() uint64 { return e.seq }
 
 // Step commits one instruction and returns its dynamic record.
 func (e *Emulator) Step() (Dyn, error) {
+	var d Dyn
+	err := e.step(&d)
+	return d, err
+}
+
+// step is Step writing the record through d, so Run's loop keeps one
+// record in place instead of copying a returned one per instruction.
+func (e *Emulator) step(d *Dyn) error {
 	if e.halted {
-		return Dyn{}, ErrHalted
+		return ErrHalted
 	}
 	in, ok := e.im.At(e.PC)
 	if !ok {
-		return Dyn{}, fmt.Errorf("%w: 0x%x", ErrBadPC, e.PC)
+		return badPC(e.PC)
 	}
-	d := Dyn{Seq: e.seq, PC: e.PC, Inst: in}
-	next := e.PC + isa.WordSize
+	next, addr, taken, ok := e.exec(&in, e.PC)
+	if !ok {
+		return unimplemented(in.Op, e.PC)
+	}
+	// Field stores, not a composite literal: a literal is staged on the
+	// stack in narrow stores and copied out in 16-byte loads, which
+	// stall on store forwarding.
+	d.Seq, d.PC, d.Inst, d.Taken, d.NextPC, d.MemAddr = e.seq, e.PC, in, taken, next, addr
+	e.PC = next
+	e.seq++
+	return nil
+}
+
+// badPC is the error for a PC that does not address an instruction of
+// the image.
+func badPC(pc uint32) error { return fmt.Errorf("%w: 0x%x", ErrBadPC, pc) }
+
+// unimplemented is the error for an opcode exec has no semantics for.
+func unimplemented(op isa.Op, pc uint32) error {
+	return fmt.Errorf("emulator: unimplemented op %v at 0x%x", op, pc)
+}
+
+// exec is the one execute core behind Step and Record: it applies the
+// architectural effects of in, the instruction at pc, to the registers,
+// memory and halt flag, and returns only the dynamic facts — the next
+// PC (for control transfers, the resolved outcome), the effective
+// address of a load or store, and a conditional branch's direction.
+// It leaves PC and the commit count to its caller. ok is false, with
+// no state changed, for an opcode it does not implement.
+func (e *Emulator) exec(in *isa.Inst, pc uint32) (next, addr uint32, taken, ok bool) {
+	next = pc + isa.WordSize
 	r := &e.Regs
 
 	switch in.Op {
@@ -170,44 +207,39 @@ func (e *Emulator) Step() (Dyn, error) {
 			r[in.Rd] = 0
 		}
 	case isa.OpLoad:
-		d.MemAddr = r[in.Ra] + uint32(in.Imm)
-		r[in.Rd] = e.Mem.Load(d.MemAddr)
+		addr = r[in.Ra] + uint32(in.Imm)
+		r[in.Rd] = e.Mem.Load(addr)
 	case isa.OpStore:
-		d.MemAddr = r[in.Ra] + uint32(in.Imm)
-		e.Mem.Store(d.MemAddr, r[in.Rb])
+		addr = r[in.Ra] + uint32(in.Imm)
+		e.Mem.Store(addr, r[in.Rb])
 	case isa.OpBeq:
-		d.Taken = r[in.Ra] == r[in.Rb]
+		taken = r[in.Ra] == r[in.Rb]
 	case isa.OpBne:
-		d.Taken = r[in.Ra] != r[in.Rb]
+		taken = r[in.Ra] != r[in.Rb]
 	case isa.OpBlt:
-		d.Taken = int32(r[in.Ra]) < int32(r[in.Rb])
+		taken = int32(r[in.Ra]) < int32(r[in.Rb])
 	case isa.OpBge:
-		d.Taken = int32(r[in.Ra]) >= int32(r[in.Rb])
+		taken = int32(r[in.Ra]) >= int32(r[in.Rb])
 	case isa.OpJmp:
 		next = in.Target
 	case isa.OpJal:
-		r[isa.RegLink] = e.PC + isa.WordSize
+		r[isa.RegLink] = pc + isa.WordSize
 		next = in.Target
 	case isa.OpJr:
 		next = r[in.Ra]
 	case isa.OpJalr:
-		t := r[in.Ra]
-		r[isa.RegLink] = e.PC + isa.WordSize
-		next = t
+		next = r[in.Ra] // read before the link write: jalr through the link register
+		r[isa.RegLink] = pc + isa.WordSize
 	case isa.OpHalt:
 		e.halted = true
 	default:
-		return Dyn{}, fmt.Errorf("emulator: unimplemented op %v at 0x%x", in.Op, e.PC)
+		return 0, 0, false, false
 	}
-	if in.IsBranch() && d.Taken {
-		next = in.BranchTarget(e.PC)
+	if taken {
+		next = in.BranchTarget(pc)
 	}
 	r[isa.RegZero] = 0 // writes to r0 are discarded
-
-	d.NextPC = next
-	e.PC = next
-	e.seq++
-	return d, nil
+	return next, addr, taken, true
 }
 
 // Run commits up to budget instructions, invoking fn for each. It stops
@@ -215,9 +247,9 @@ func (e *Emulator) Step() (Dyn, error) {
 // instructions committed and the first error other than a clean halt.
 func (e *Emulator) Run(budget uint64, fn func(Dyn) bool) (uint64, error) {
 	var n uint64
+	var d Dyn
 	for n < budget {
-		d, err := e.Step()
-		if err != nil {
+		if err := e.step(&d); err != nil {
 			if errors.Is(err, ErrHalted) {
 				return n, nil
 			}

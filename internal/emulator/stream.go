@@ -32,7 +32,7 @@ type Stream struct {
 	sync  []syncEntry
 }
 
-// SyncInterval is the spacing of the sync index: the Recorder adds an
+// SyncInterval is the spacing of the sync index: Record adds an
 // entry at the first universal trace start at or after every multiple
 // of SyncInterval instructions.
 //
@@ -99,86 +99,76 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Recorder captures a committed instruction stream into a Stream. Feed
-// it every Dyn in commit order via Observe, then call Stream to seal.
-type Recorder struct {
-	s        Stream
-	lastMem  uint32
-	nextSync uint64 // position from which the next sync entry is due
-}
-
-// NewRecorder returns a Recorder for a program image.
-func NewRecorder(im *program.Image) *Recorder {
-	return &Recorder{s: Stream{im: im}}
-}
-
-// Observe appends one committed instruction to the recording. Records
-// must arrive in commit order starting from the first instruction.
-func (r *Recorder) Observe(d Dyn) {
-	if len(r.s.sync) == 0 { // the first instruction: index the stream start
-		r.s.entry = d.PC
-		r.addSync(d.PC)
+// Record runs a fresh emulator for up to budget committed instructions
+// and returns the sealed recording. The recording ends early on a clean
+// halt, the halt itself recorded; any other emulation error is returned
+// with no stream.
+//
+// Record is the emulator's own run loop over the image's decoded
+// instructions: after each exec it appends the instruction's dynamic
+// bits — a taken bit, a memory-address delta or an indirect-target
+// delta — and any due sync entry straight into the stream, so no Dyn
+// record is built for the instructions it commits.
+func Record(im *program.Image, budget uint64) (*Stream, error) {
+	e := New(im)
+	s := &Stream{im: im}
+	if budget == 0 {
+		return s, nil
 	}
-	switch d.Inst.Op {
-	case isa.OpLoad, isa.OpStore:
-		delta := int64(d.MemAddr) - int64(r.lastMem)
-		r.s.aux = binary.AppendUvarint(r.s.aux, zigzag(delta))
-		r.lastMem = d.MemAddr
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		if r.s.nbits%8 == 0 {
-			r.s.taken = append(r.s.taken, 0)
+	code, base := im.Insts(), im.Base
+	pc := e.PC
+	s.entry = pc
+	var lastMem uint32
+	nextSync := s.addSync(pc, lastMem) // index the stream start
+	for s.n < budget {
+		off := pc - base
+		if off%isa.WordSize != 0 || uint64(off/isa.WordSize) >= uint64(len(code)) {
+			return nil, badPC(pc)
 		}
-		if d.Taken {
-			r.s.taken[r.s.nbits/8] |= 1 << (r.s.nbits % 8)
+		in := &code[off/isa.WordSize]
+		next, addr, taken, ok := e.exec(in, pc)
+		if !ok {
+			return nil, unimplemented(in.Op, pc)
 		}
-		r.s.nbits++
-	case isa.OpJr, isa.OpJalr:
-		delta := int64(d.NextPC) - int64(d.PC+isa.WordSize)
-		r.s.aux = binary.AppendUvarint(r.s.aux, zigzag(delta))
-		r.s.n++
-		if r.s.n >= r.nextSync {
-			r.addSync(d.NextPC)
+		s.n++
+		switch in.Op {
+		case isa.OpLoad, isa.OpStore:
+			s.aux = binary.AppendUvarint(s.aux, zigzag(int64(addr)-int64(lastMem)))
+			lastMem = addr
+		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
+			if s.nbits%8 == 0 {
+				s.taken = append(s.taken, 0)
+			}
+			if taken {
+				s.taken[s.nbits/8] |= 1 << (s.nbits % 8)
+			}
+			s.nbits++
+		case isa.OpJr, isa.OpJalr:
+			s.aux = binary.AppendUvarint(s.aux, zigzag(int64(next)-int64(pc+isa.WordSize)))
+			if s.n >= nextSync {
+				nextSync = s.addSync(next, lastMem)
+			}
+		case isa.OpHalt:
+			return s, nil
 		}
-		return
+		pc = next
 	}
-	r.s.n++
+	return s, nil
 }
 
 // addSync indexes the current position, a universal trace start whose
-// first instruction is at pc, and schedules the next entry for the
+// first instruction is at pc with memory-address delta base lastMem,
+// and returns the position from which the next entry is due: the
 // following multiple of SyncInterval.
-func (r *Recorder) addSync(pc uint32) {
-	r.s.sync = append(r.s.sync, syncEntry{
-		seq:     r.s.n,
-		bitPos:  r.s.nbits,
-		auxPos:  uint64(len(r.s.aux)),
+func (s *Stream) addSync(pc, lastMem uint32) uint64 {
+	s.sync = append(s.sync, syncEntry{
+		seq:     s.n,
+		bitPos:  s.nbits,
+		auxPos:  uint64(len(s.aux)),
 		pc:      pc,
-		lastMem: r.lastMem,
+		lastMem: lastMem,
 	})
-	r.nextSync = (r.s.n/SyncInterval + 1) * SyncInterval
-}
-
-// Stream seals and returns the recording. The Recorder must not be used
-// afterwards.
-func (r *Recorder) Stream() *Stream {
-	s := r.s
-	return &s
-}
-
-// Record runs a fresh emulator for up to budget committed instructions
-// and returns the sealed recording. The recording ends early on a clean
-// halt; any other emulation error is returned.
-func Record(im *program.Image, budget uint64) (*Stream, error) {
-	e := New(im)
-	r := NewRecorder(im)
-	_, err := e.Run(budget, func(d Dyn) bool {
-		r.Observe(d)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r.Stream(), nil
+	return (s.n/SyncInterval + 1) * SyncInterval
 }
 
 // Replayer re-emits a recorded Stream as Dyn records. Replay is allocation-free and bit-identical to the original

@@ -43,7 +43,7 @@ func sameTail(t *testing.T, label string, got, linear []Dyn, pos uint64) {
 	}
 }
 
-// TestSyncIndex checks the index the Recorder builds: an entry at the
+// TestSyncIndex checks the index Record builds: an entry at the
 // stream start, then one at the first universal trace start at or
 // after each multiple of SyncInterval — each at position 0 or right
 // after an indirect jump, return or halt. Its size is one entry per

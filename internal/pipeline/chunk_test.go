@@ -2,7 +2,7 @@ package pipeline
 
 import (
 	"errors"
-	"runtime/debug"
+	"runtime"
 	"testing"
 
 	"tracepre/internal/emulator"
@@ -82,16 +82,13 @@ func TestChunkedRunContract(t *testing.T) {
 
 // TestChunkLoopSteadyStateAllocs checks the chunked hot loop is
 // allocation-free once warm: decoding chunks, segmenting them and
-// feeding the traces through RunTrace must reuse the pooled chunk
+// feeding the traces through RunTrace must reuse the free-listed chunk
 // buffers and the simulator's own scratch, with zero allocations per
 // pass attributable to the loop.
 // Trace-store slab growth is the one legitimate allocator on this path,
 // so the measured simulator uses a trace cache small enough to be fully
 // populated during warming.
 func TestChunkLoopSteadyStateAllocs(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("sync.Pool drops Puts at random under -race; exact pool accounting only holds without it")
-	}
 	im := loopImage(t, 2_000) // ~14 instrs/iteration, outruns the budget
 	const budget = 20_000
 	st, err := emulator.Record(im, budget)
@@ -103,16 +100,14 @@ func TestChunkLoopSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// GC off for the window: a collection may legitimately empty the
-	// sync.Pool behind the chunk buffers.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < 3; i++ {
-		run() // warm pools, store slabs, and the intern table
+		run() // warm the free list, store slabs, and the intern table
 	}
 	before := emulator.ChunkBufAllocs()
 	const runs = 10
 	for i := 0; i < runs; i++ {
 		run()
+		runtime.GC() // a collection must not empty the free list
 	}
 	if got := emulator.ChunkBufAllocs() - before; got != 0 {
 		t.Errorf("steady-state chunk loop allocated %d chunk buffers over %d runs, want 0", got, runs)

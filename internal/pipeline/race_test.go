@@ -2,7 +2,7 @@
 
 package pipeline
 
-// raceDetectorEnabled reports a -race build: sync.Pool deliberately
-// drops a fraction of Puts under the race detector, so exact
-// steady-state pool assertions are skipped there.
+// raceDetectorEnabled reports a -race build, whose instrumentation
+// changes what allocates: exact testing.AllocsPerRun assertions are
+// skipped there.
 const raceDetectorEnabled = true

@@ -67,7 +67,8 @@ func foldConstants(tr *trace.Trace, info *Info) {
 	known[isa.RegZero] = true
 	for i, in := range tr.Insts {
 		allKnown := true
-		for _, r := range in.ReadsRegs(nil) {
+		var regs [2]uint8
+		for _, r := range in.ReadsRegs(regs[:0]) {
 			if !known[r] {
 				allKnown = false
 				break
@@ -126,7 +127,7 @@ func fusibleConsumer(op isa.Op) bool {
 // fit the combined-ALU template, and fuses them.
 func fusePairs(tr *trace.Trace, info *Info) {
 	n := tr.Len()
-	var scratch []uint8
+	var regs [2]uint8
 	for i := 0; i < n; i++ {
 		in := tr.Insts[i]
 		if !fusibleProducer(in.Op) {
@@ -140,8 +141,7 @@ func fusePairs(tr *trace.Trace, info *Info) {
 		consumer := -1
 		uses := 0
 		for j := i + 1; j < n; j++ {
-			scratch = tr.Insts[j].ReadsRegs(scratch[:0])
-			for _, r := range scratch {
+			for _, r := range tr.Insts[j].ReadsRegs(regs[:0]) {
 				if r == rd {
 					uses++
 					if consumer == -1 {
@@ -186,7 +186,7 @@ func fusePairs(tr *trace.Trace, info *Info) {
 func schedule(tr *trace.Trace, info *Info) {
 	n := tr.Len()
 	height := make([]int, n)
-	var scratch []uint8
+	var regs [2]uint8
 	// Heights from the bottom: an instruction's height is 1 + max of
 	// its consumers' heights.
 	for i := n - 1; i >= 0; i-- {
@@ -194,8 +194,7 @@ func schedule(tr *trace.Trace, info *Info) {
 		rd, writes := tr.Insts[i].WritesReg()
 		if writes {
 			for j := i + 1; j < n; j++ {
-				scratch = tr.Insts[j].ReadsRegs(scratch[:0])
-				for _, r := range scratch {
+				for _, r := range tr.Insts[j].ReadsRegs(regs[:0]) {
 					if r == rd && height[j]+1 > h {
 						h = height[j] + 1
 					}

@@ -159,7 +159,9 @@ func TestOptimizeEmptyAndTrivial(t *testing.T) {
 	}
 }
 
-func BenchmarkOptimize(b *testing.B) {
+// aluTrace is a full 16-instruction trace of loads, shifts and
+// dependent adds: every instruction reads registers.
+func aluTrace() *trace.Trace {
 	insts := make([]isa.Inst, 16)
 	for i := range insts {
 		switch i % 4 {
@@ -171,8 +173,23 @@ func BenchmarkOptimize(b *testing.B) {
 			insts[i] = isa.Inst{Op: isa.OpAdd, Rd: uint8(1 + (i+2)%7), Ra: uint8(1 + (i+1)%7), Rb: uint8(1 + i%7)}
 		}
 	}
-	tr := mk(insts...)
-	b.ResetTimer()
+	return mk(insts...)
+}
+
+// TestOptimizeAllocs pins Optimize's allocations at its structural
+// count, whatever the trace length: the Info, its FusedWith and Order
+// slices, and schedule's height scratch. Register reads go through
+// stack buffers, never one allocation per instruction.
+func TestOptimizeAllocs(t *testing.T) {
+	tr := aluTrace()
+	if avg := testing.AllocsPerRun(100, func() { Optimize(tr) }); avg != 4 {
+		t.Errorf("Optimize allocates %.1f times per %d-instruction trace, want 4", avg, tr.Len())
+	}
+}
+
+func BenchmarkOptimize(b *testing.B) {
+	tr := aluTrace()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Optimize(tr)
 	}
